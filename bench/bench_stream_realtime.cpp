@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "da/letkf.hpp"
@@ -23,6 +24,7 @@
 #include "io/table.hpp"
 #include "models/scaled_forecast.hpp"
 #include "rng/rng.hpp"
+#include "simd/dispatch.hpp"
 #include "sqg/sqg.hpp"
 #include "stream/realtime_runner.hpp"
 #include "stream/synthetic_stream.hpp"
@@ -109,6 +111,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   const double latency = args.get_double("latency", 0.5);
   const std::string json_path = args.get_str("json", "BENCH_stream.json");
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t eff_threads = threads != 0 ? threads : hw;
+  const char* simd_name = simd::simd_level_name(simd::active_simd_level());
 
   Testbed tb(n, smoke ? 2.0 : 5.0, seed);
 
@@ -196,8 +201,9 @@ int main(int argc, char** argv) {
   };
 
   std::cout << "=== Real-time cycling throughput: SQG " << n << "^2, " << members
-            << " members, LETKF on a 1/" << stride * stride << " observing network, "
-            << cycles << " cycles per scenario ===\n\n";
+            << " members, LETKF on a 1/" << stride * stride << " observing network ("
+            << cycles << " cycles per scenario, " << eff_threads << " of " << hw
+            << " hardware threads, SIMD dispatch: " << simd_name << ") ===\n\n";
 
   // Compute-only pair: pure pipeline overlap, no delivery delay.
   std::vector<ScenarioResult> results;
@@ -264,7 +270,9 @@ int main(int argc, char** argv) {
   std::ofstream js(json_path);
   js << "{\n  \"bench\": \"stream_realtime\",\n  \"n\": " << n
      << ",\n  \"members\": " << members << ",\n  \"cycles\": " << cycles
-     << ",\n  \"obs_stride\": " << stride << ",\n  \"wall_ms_per_cycle\": " << wall_cadence
+     << ",\n  \"obs_stride\": " << stride << ",\n  \"threads\": " << eff_threads
+     << ",\n  \"hardware_threads\": " << hw << ",\n  \"simd_level\": \"" << simd_name << "\""
+     << ",\n  \"wall_ms_per_cycle\": " << wall_cadence
      << ",\n  \"speedup_compute\": " << speedup_compute
      << ",\n  \"speedup_latency\": " << speedup_latency << ",\n  \"phases\": {"
      << "\"plan_ms\": " << ph.plan_ms << ", \"select_ms\": " << ph.select_ms
@@ -276,7 +284,8 @@ int main(int argc, char** argv) {
     const auto& s = results[i];
     js << "    {\"name\": \"" << s.name << "\", \"schedule\": \""
        << (s.schedule == stream::Schedule::Serial ? "serial" : "overlapped") << "\", \"n\": " << n
-       << ", \"members\": " << members
+       << ", \"members\": " << members << ", \"threads\": " << eff_threads
+       << ", \"hw_threads\": " << hw << ", \"simd\": \"" << simd_name << "\""
        << ", \"latency_cycles\": " << s.latency << ", \"cycle_ms\": " << s.cycle_ms
        << ", \"forecast_ms\": " << s.forecast_ms << ", \"analysis_ms\": " << s.analysis_ms
        << ", \"cycles_per_s\": " << s.cycles_per_s << ", \"deadline_misses\": " << s.misses

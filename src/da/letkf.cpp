@@ -266,8 +266,9 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
         if (pls[rep] != pls[g]) continue;
         collect(rep, ia, wa);
         collect(g, ib, wb);
-        if (ia == ib &&
-            std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) == 0) {
+        // memcmp must not see the null data() of a never-filled empty list.
+        if (ia == ib && (wa.empty() ||
+                         std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) == 0)) {
           groups[gid].push_back(static_cast<std::uint32_t>(g));
           joined = true;
           break;
@@ -445,8 +446,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   // scratch. Each group solves its local problem once on the
   // representative's observation selection and applies the resulting weight
   // matrix to every member column; groups touch disjoint xaT rows, so the
-  // result is bitwise identical for any thread count. With lane_batch the
-  // chunk packs same-size groups into SIMD lane batches (solve_batch below);
+  // result is bitwise identical for any thread count. A group whose local
+  // problem is smaller than the ensemble (pl < m) is solved in observation
+  // space (solve_obs), any other in ensemble space (solve_one / solve_batch).
+  // With lane_batch the chunk packs same-size groups into SIMD lane batches;
   // every lane reproduces the sequential arithmetic exactly, so the packing
   // is bitwise invisible.
   const auto solve_groups = [&](std::size_t gr_begin, std::size_t gr_end) {
@@ -467,6 +470,8 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     std::vector<double> cdb(m * W), vtcdb(m * W), wbarb(m * W), wbb(m * W), isqb(m * W),
         accb(m * W), xbTb(m * W), xaTb(m * W);
     std::vector<double> vTb(m * m * W), usTb(m * m * W), wmatb(m * m * W);
+    // Observation-space (pl < m) lane-batched scratch, sized per call.
+    std::vector<double> ztb, sb, bb, ub, lamb, qb, qtb, hqtb, tb, cb, hb;
     tensor::EighInfo einfos[W];
     tensor::EighBatchScratch eigh_scratch;
     std::vector<std::uint32_t> batch_order, rest;
@@ -606,25 +611,28 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       if (tm) pt.combine_ms += ph.milliseconds();
     };
 
-    // Lane-batched solve of kLaneBatch groups with identical local problem
-    // size pl: the solve_one phase sequence with every per-problem kernel
-    // replaced by its lane-batched counterpart. Each lane executes the exact
-    // sequential IEEE operation sequence, so routing a group through here
-    // never changes its bits.
-    const auto solve_batch = [&](const std::uint32_t* grs, std::size_t pl) {
+    // Lane state shared by the two lane-batched solves: each lane's
+    // observation selection and member columns, and whether its eigensolve
+    // fell back. Lanes at or past the live count hold no columns.
+    const std::int32_t* sidx_b[W];
+    const double* sw_b[W];
+    const std::uint32_t* cols_b[W];
+    std::size_t ncols_b[W];
+    bool fell[W];
+
+    const auto select_lanes = [&](const std::uint32_t* grs, std::size_t nb) {
       if (tm) ph.reset();
-      const std::int32_t* sidx[W];
-      const double* sw[W];
-      const std::uint32_t* colsl[W];
-      std::size_t ncolsl[W];
       for (std::size_t l = 0; l < W; ++l) {
+        ncols_b[l] = 0;
+        fell[l] = false;
+        if (l >= nb) continue;
         const std::uint32_t gr = grs[l];
-        colsl[l] = plan.group_cols.data() + plan.group_off[gr];
-        ncolsl[l] = plan.group_off[gr + 1] - plan.group_off[gr];
-        const std::uint32_t rep = colsl[l][0];
+        cols_b[l] = plan.group_cols.data() + plan.group_off[gr];
+        ncols_b[l] = plan.group_off[gr + 1] - plan.group_off[gr];
+        const std::uint32_t rep = cols_b[l][0];
         if (plan.materialized) {
-          sidx[l] = plan.sel_idx.data() + plan.col_off[rep];
-          sw[l] = plan.sel_w.data() + plan.col_off[rep];
+          sidx_b[l] = plan.sel_idx.data() + plan.col_off[rep];
+          sw_b[l] = plan.sel_w.data() + plan.col_off[rep];
         } else {
           sel_idx_b[l].clear();
           sel_w_b[l].clear();
@@ -632,11 +640,70 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
             sel_idx_b[l].push_back(o);
             sel_w_b[l].push_back(wv);
           });
-          sidx[l] = sel_idx_b[l].data();
-          sw[l] = sel_w_b[l].data();
+          sidx_b[l] = sel_idx_b[l].data();
+          sw_b[l] = sel_w_b[l].data();
         }
       }
       if (tm) pt.select_ms += ph.milliseconds();
+    };
+
+    // Per-lane non-convergence follows the sequential fallback policy.
+    const auto check_lanes = [&](std::size_t nb) {
+      for (std::size_t l = 0; l < nb; ++l) {
+        fell[l] = !einfos[l].converged;
+        if (fell[l])
+          TURBDA_REQUIRE(cfg_.eigh_fallback,
+                         "jacobi_eigh: not converged after "
+                             << einfos[l].sweeps << " sweeps (off-diagonal Frobenius "
+                             << einfos[l].off_fro << ")");
+      }
+    };
+
+    // Posterior combine of the lanes' weight matrices (wmatb), lanes
+    // advancing through their column lists in lockstep; exhausted lanes
+    // recompute their last column into scratch and skip the scatter.
+    const auto combine_lanes = [&] {
+      if (tm) ph.reset();
+      double xbarb[W] = {0.0, 0.0, 0.0, 0.0};
+      std::size_t max_nc = 0;
+      for (std::size_t l = 0; l < W; ++l)
+        if (!fell[l]) max_nc = std::max(max_nc, ncols_b[l]);
+      for (std::size_t ci = 0; ci < max_nc; ++ci) {
+        for (std::size_t l = 0; l < W; ++l) {
+          if (fell[l] || ci >= ncols_b[l]) continue;
+          const std::size_t g = cols_b[l][ci];
+          for (std::size_t k = 0; k < m; ++k) xbTb[k * W + l] = xbT(g, k);
+          xbarb[l] = xbar[g];
+        }
+        std::fill(accb.begin(), accb.end(), 0.0);
+        dk.baccum_rows(accb.data(), xbTb.data(), 1, wmatb.data(), m, m, m);
+        dk.bscale_shift(xaTb.data(), accb.data(), m, 1.0, xbarb);
+        for (std::size_t l = 0; l < W; ++l) {
+          if (fell[l] || ci >= ncols_b[l]) continue;
+          const std::size_t g = cols_b[l][ci];
+          for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
+        }
+      }
+      // Non-converged lanes keep the forecast, exactly like solve_one.
+      for (std::size_t l = 0; l < W; ++l) {
+        if (!fell[l]) continue;
+        ++loc_failures;
+        loc_fallback_cols += ncols_b[l];
+        for (std::size_t ci = 0; ci < ncols_b[l]; ++ci) {
+          const std::size_t g = cols_b[l][ci];
+          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
+        }
+      }
+      if (tm) pt.combine_ms += ph.milliseconds();
+    };
+
+    // Lane-batched ensemble-space solve of kLaneBatch groups with identical
+    // local problem size pl >= m: the solve_one phase sequence with every
+    // per-problem kernel replaced by its lane-batched counterpart. Each lane
+    // executes the exact sequential IEEE operation sequence, so routing a
+    // group through here never changes its bits.
+    const auto solve_batch = [&](const std::uint32_t* grs, std::size_t pl) {
+      select_lanes(grs, W);
 
       // Gather the four columns' local rows lane-interleaved.
       if (tm) ph.reset();
@@ -646,12 +713,12 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       wib.resize(pl * W);
       for (std::size_t o = 0; o < pl; ++o) {
         for (std::size_t l = 0; l < W; ++l) {
-          const auto oidx = static_cast<std::size_t>(sidx[l][o]);
+          const auto oidx = static_cast<std::size_t>(sidx_b[l][o]);
           const double* src = &yensT(oidx, 0);
           double* dst = &yTb[o * m * W + l];
           for (std::size_t k = 0; k < m; ++k) dst[k * W] = src[k];
           const double w_eff =
-              (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw[l][o] * inv_r_scale;
+              (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw_b[l][o] * inv_r_scale;
           weffb[o * W + l] = w_eff;
           wib[o * W + l] = w_eff * innov[oidx];
         }
@@ -675,24 +742,15 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.gram_ms += ph.milliseconds();
 
-      // Masked lane-batched eigensolve; per-lane non-convergence follows the
-      // sequential fallback policy.
+      // Masked lane-batched eigensolve.
       if (tm) ph.reset();
       tensor::jacobi_eigh_batch(amatb.data(), m, W, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
                                 einfos, &eigh_scratch);
       if (tm) pt.eigh_ms += ph.milliseconds();
-      bool fell[W];
-      for (std::size_t l = 0; l < W; ++l) {
-        fell[l] = !einfos[l].converged;
-        if (fell[l])
-          TURBDA_REQUIRE(cfg_.eigh_fallback,
-                         "jacobi_eigh: not converged after "
-                             << einfos[l].sweeps << " sweeps (off-diagonal Frobenius "
-                             << einfos[l].off_fro << ")");
-      }
+      check_lanes(W);
 
       // Weights for all lanes (non-converged lanes hold the benign identity
-      // eigensystem; their results are discarded below).
+      // eigensystem; combine_lanes discards their results).
       if (tm) ph.reset();
       std::fill(cdb.begin(), cdb.end(), 0.0);
       dk.baccum_rows(cdb.data(), wib.data(), 1, yTb.data(), m, pl, m);
@@ -717,45 +775,124 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
       if (tm) pt.weights_ms += ph.milliseconds();
 
-      // Posterior combine, lanes advancing through their column lists in
-      // lockstep; exhausted lanes recompute their last column into scratch
-      // and skip the scatter.
+      combine_lanes();
+    };
+
+    // Observation-space solve of nb <= kLaneBatch groups with identical
+    // local problem size pl < m, lane-batched; the sequential path calls it
+    // with one live lane. Padded lanes hold no columns and never feed a
+    // live one, so a group's bits do not depend on which path solved it.
+    // With Z = W^{1/2} Yb_loc (pl x m; W the effective weights after
+    // localization, QC mask and r_scale), A = (m-1) I + Z^T Z is (m-1) I
+    // plus a matrix of rank <= pl, so the pl x pl eigensolve
+    //   B = (m-1) I + Z Z^T = U diag(lam) U^T
+    // carries the whole update. With Q = Z^T U (push-through identity
+    // A^{-1} Z^T = Z^T B^{-1}):
+    //   wbar               = Q diag(1/lam) U^T (W^{1/2} d)
+    //   sqrt(m-1) A^{-1/2} = I + Q diag(h) Q^T,
+    //   h_a = -1 / (sqrt(lam_a) (sqrt(lam_a) + sqrt(m-1)))
+    // — the cancellation-free form of (sqrt((m-1) / lam_a) - 1) /
+    // (lam_a - (m-1)). A zero column of Q (rank-deficient Z Z^T) drops out
+    // of both sums.
+    const auto solve_obs = [&](const std::uint32_t* grs, std::size_t nb, std::size_t pl) {
+      select_lanes(grs, nb);
+
+      // Gather Z^T (m x pl) and s = W^{1/2} d lane-interleaved.
       if (tm) ph.reset();
-      double xbarb[W] = {0.0, 0.0, 0.0, 0.0};
-      std::size_t max_nc = 0;
-      for (std::size_t l = 0; l < W; ++l)
-        if (!fell[l]) max_nc = std::max(max_nc, ncolsl[l]);
-      for (std::size_t ci = 0; ci < max_nc; ++ci) {
-        for (std::size_t l = 0; l < W; ++l) {
-          if (fell[l] || ci >= ncolsl[l]) continue;
-          const std::size_t g = colsl[l][ci];
-          for (std::size_t k = 0; k < m; ++k) xbTb[k * W + l] = xbT(g, k);
-          xbarb[l] = xbar[g];
-        }
-        std::fill(accb.begin(), accb.end(), 0.0);
-        dk.baccum_rows(accb.data(), xbTb.data(), 1, wmatb.data(), m, m, m);
-        dk.bscale_shift(xaTb.data(), accb.data(), m, 1.0, xbarb);
-        for (std::size_t l = 0; l < W; ++l) {
-          if (fell[l] || ci >= ncolsl[l]) continue;
-          const std::size_t g = colsl[l][ci];
-          for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
+      ztb.resize(m * pl * W);
+      sb.resize(pl * W);
+      for (std::size_t o = 0; o < pl; ++o) {
+        for (std::size_t l = 0; l < nb; ++l) {
+          const auto oidx = static_cast<std::size_t>(sidx_b[l][o]);
+          const double w_eff =
+              (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw_b[l][o] * inv_r_scale;
+          const double sq = std::sqrt(w_eff);
+          const double* src = &yensT(oidx, 0);
+          double* dst = &ztb[o * W + l];
+          for (std::size_t k = 0; k < m; ++k) dst[k * pl * W] = sq * src[k];
+          sb[o * W + l] = sq * innov[oidx];
         }
       }
-      // Non-converged lanes keep the forecast, exactly like solve_one.
-      for (std::size_t l = 0; l < W; ++l) {
-        if (!fell[l]) continue;
-        ++loc_failures;
-        loc_fallback_cols += ncolsl[l];
-        for (std::size_t ci = 0; ci < ncolsl[l]; ++ci) {
-          const std::size_t g = colsl[l][ci];
-          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
-        }
+      if (tm) pt.gather_ms += ph.milliseconds();
+
+      // B = (m-1) I + Z Z^T, upper triangle row by row, then mirrored.
+      if (tm) ph.reset();
+      bb.resize(pl * pl * W);
+      for (std::size_t a = 0; a < pl; ++a) {
+        std::fill_n(&bb[(a * pl + a) * W], (pl - a) * W, 0.0);
+        dk.baccum_rows(&bb[(a * pl + a) * W], &ztb[a * W], pl, &ztb[a * W], pl, m, pl - a);
       }
-      if (tm) pt.combine_ms += ph.milliseconds();
+      for (std::size_t a = 0; a < pl; ++a) {
+        for (std::size_t l = 0; l < W; ++l) bb[(a * pl + a) * W + l] += static_cast<double>(m - 1);
+        for (std::size_t b = a + 1; b < pl; ++b)
+          for (std::size_t l = 0; l < W; ++l) bb[(b * pl + a) * W + l] = bb[(a * pl + b) * W + l];
+      }
+      if (tm) pt.gram_ms += ph.milliseconds();
+
+      if (tm) ph.reset();
+      ub.resize(pl * pl * W);
+      lamb.resize(pl * W);
+      tensor::jacobi_eigh_batch(bb.data(), pl, nb, ub.data(), lamb.data(), cfg_.eigh_max_sweeps,
+                                einfos, &eigh_scratch);
+      if (tm) pt.eigh_ms += ph.milliseconds();
+      check_lanes(nb);
+
+      if (tm) ph.reset();
+      // Q = Z^T U row by row (m x pl), and its transpose (pl x m).
+      qb.assign(m * pl * W, 0.0);
+      for (std::size_t k = 0; k < m; ++k)
+        dk.baccum_rows(&qb[k * pl * W], &ztb[k * pl * W], 1, ub.data(), pl, pl, pl);
+      qtb.resize(pl * m * W);
+      for (std::size_t a = 0; a < pl; ++a)
+        for (std::size_t k = 0; k < m; ++k)
+          for (std::size_t l = 0; l < W; ++l) qtb[(a * m + k) * W + l] = qb[(k * pl + a) * W + l];
+      // Innovation in eigen-coordinates t = U^T s, then c = t / lam and h.
+      tb.assign(pl * W, 0.0);
+      dk.baccum_rows(tb.data(), sb.data(), 1, ub.data(), pl, pl, pl);
+      cb.resize(pl * W);
+      hb.resize(pl * W);
+      for (std::size_t e = 0; e < pl * W; ++e) {
+        const double sl = std::sqrt(lamb[e]);
+        cb[e] = tb[e] / lamb[e];
+        hb[e] = -1.0 / (sl * (sl + sqm1));
+      }
+      // wbar = Q c.
+      std::fill(wbarb.begin(), wbarb.end(), 0.0);
+      dk.baccum_rows(wbarb.data(), cb.data(), 1, qtb.data(), m, pl, m);
+      // wmat(k, i) = wbar[k] + delta_ki + (Q diag(h) Q^T)(k, i): the
+      // symmetric part's upper triangle row by row, mirrored, then shifted.
+      hqtb.resize(pl * m * W);
+      for (std::size_t a = 0; a < pl; ++a)
+        dk.bscale(&hqtb[a * m * W], &qtb[a * m * W], m, &hb[a * W]);
+      for (std::size_t k = 0; k < m; ++k) {
+        std::fill_n(&wmatb[(k * m + k) * W], (m - k) * W, 0.0);
+        dk.baccum_rows(&wmatb[(k * m + k) * W], &hqtb[k * W], m, &qtb[k * W], m, pl, m - k);
+      }
+      for (std::size_t k = 0; k < m; ++k) {
+        for (std::size_t l = 0; l < W; ++l) wmatb[(k * m + k) * W + l] += 1.0;
+        for (std::size_t i = k + 1; i < m; ++i)
+          for (std::size_t l = 0; l < W; ++l)
+            wmatb[(i * m + k) * W + l] = wmatb[(k * m + i) * W + l];
+      }
+      for (std::size_t k = 0; k < m; ++k)
+        dk.bscale_shift(&wmatb[k * m * W], &wmatb[k * m * W], m, 1.0, &wbarb[k * W]);
+      if (tm) pt.weights_ms += ph.milliseconds();
+
+      combine_lanes();
     };
 
     const auto group_pl = [&](std::uint32_t gr) {
       return plan.col_pl[plan.group_cols[plan.group_off[gr]]];
+    };
+    // Sequential path: observation-space groups take solve_obs with one live
+    // lane, empty and ensemble-space selections take solve_one.
+    const auto solve_seq = [&](std::uint32_t gr) {
+      loc_scalar_cols += plan.group_off[gr + 1] - plan.group_off[gr];
+      const std::size_t pl = group_pl(gr);
+      if (pl > 0 && pl < m)
+        solve_obs(&gr, 1, pl);
+      else
+        solve_one(gr);
     };
     if (cfg_.lane_batch) {
       // Pack this chunk's groups into full lane batches of identical local
@@ -782,7 +919,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
           ++run_end;
         std::size_t b = i;
         for (; b + W <= run_end; b += W) {
-          solve_batch(&batch_order[b], pl_run);
+          if (pl_run < m)
+            solve_obs(&batch_order[b], W, pl_run);
+          else
+            solve_batch(&batch_order[b], pl_run);
           for (std::size_t l = 0; l < W; ++l) {
             const std::uint32_t gr = batch_order[b + l];
             loc_batched_cols += plan.group_off[gr + 1] - plan.group_off[gr];
@@ -791,15 +931,9 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
         for (; b < run_end; ++b) rest.push_back(batch_order[b]);
         i = run_end;
       }
-      for (const std::uint32_t gr : rest) {
-        loc_scalar_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-        solve_one(gr);
-      }
+      for (const std::uint32_t gr : rest) solve_seq(gr);
     } else {
-      for (std::size_t gr = gr_begin; gr < gr_end; ++gr) {
-        loc_scalar_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-        solve_one(gr);
-      }
+      for (std::size_t gr = gr_begin; gr < gr_end; ++gr) solve_seq(static_cast<std::uint32_t>(gr));
     }
 
     if (loc_failures != 0) {

@@ -12,6 +12,14 @@
 //   W     = [ (m-1) Pa~ ]^{1/2}
 //   xa_i  = xbar + Xb (wbar + W e_i)
 //
+// A local problem with fewer observations than members (p_local < m) takes
+// the same update from a p_local x p_local eigensolve instead: with
+// Z = Rloc^{-1/2} Yb, A - (m-1) I = Z^T Z has rank <= p_local, and the
+// eigenpairs of (m-1) I + Z Z^T give wbar and W exactly (Woodbury /
+// push-through identities; see LETKF::analyze_impl). The two forms agree
+// to rounding — 1e-10 relative is test-enforced against a naive
+// ensemble-space oracle.
+//
 // Regularization follows the paper's SQG setup: Gaspari–Cohn R-localization
 // with a cut-off radius (obs errors inflated by 1/rho), the horizontal and
 // vertical extents coupled through the Rossby radius of deformation

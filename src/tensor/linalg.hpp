@@ -1,8 +1,10 @@
 // Dense linear algebra kernels for small symmetric systems.
 //
-// LETKF's analysis solves an m x m symmetric eigenproblem in ensemble space
-// (m = ensemble size, 20 in the paper), for which cyclic Jacobi is simple,
-// branch-predictable and accurate.
+// LETKF's analysis solves one small symmetric eigenproblem per local
+// problem — m x m in ensemble space (m = ensemble size, 20 in the paper), or
+// p_local x p_local in observation space when fewer observations than
+// members are local — for which cyclic Jacobi is simple, branch-predictable
+// and accurate.
 #pragma once
 
 #include <functional>

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
@@ -462,6 +467,30 @@ std::vector<simd::SimdLevel> available_simd_levels() {
   return out;
 }
 
+/// Local observations of state column g as the LETKF plan selects them:
+/// every observation whose Rossby-coupled Gaspari–Cohn weight on the
+/// periodic domain reaches min_weight, as (obs index, weight) pairs.
+std::vector<std::pair<std::size_t, double>> local_obs(const LetkfConfig& cfg,
+                                                      const std::vector<ObsLocation>& locs,
+                                                      std::size_t g) {
+  const std::size_t area = cfg.nx * cfg.ny;
+  const auto lev = static_cast<double>(g / area);
+  const auto ix = static_cast<double>(g % area % cfg.nx);
+  const auto iy = static_cast<double>(g % area / cfg.nx);
+  const double dx = cfg.domain_m / static_cast<double>(cfg.nx);
+  const double dy = cfg.domain_m / static_cast<double>(cfg.ny);
+  std::vector<std::pair<std::size_t, double>> out;
+  for (std::size_t o = 0; o < locs.size(); ++o) {
+    const double hdist =
+        std::hypot(periodic_distance(ix * dx, locs[o].ix * dx, cfg.domain_m),
+                   periodic_distance(iy * dy, locs[o].iy * dy, cfg.domain_m));
+    const double deff = std::hypot(hdist, (locs[o].level - lev) * cfg.rossby_radius_m);
+    const double rho = gaspari_cohn(deff, 0.5 * cfg.cutoff_m);
+    if (rho >= cfg.min_weight) out.emplace_back(o, rho);
+  }
+  return out;
+}
+
 TEST(Letkf, LaneBatchedMatchesSequentialBitwiseAcrossLevelsAndThreads) {
   // A strided sparse network on an odd-size grid: local problem sizes vary
   // across columns and worker chunks hold group counts that are not lane
@@ -527,7 +556,9 @@ TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
   // per column, so lane batches mix converged and exhausted lanes. With
   // fallback enabled both paths must keep the forecast for exactly the same
   // columns (bitwise) and report identical failure stats; with fallback
-  // disabled both must fail without touching the ensemble.
+  // disabled both must fail without touching the ensemble. This must hold
+  // for ensemble-space solves (dense network) and observation-space solves
+  // (sparse network) alike.
   Rng rng(23);
   const std::size_t nx = 10, ny = 10, nlev = 2;
   const std::size_t d = nx * ny * nlev;
@@ -540,51 +571,247 @@ TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
   cfg.domain_m = 4.0e6;
   cfg.cutoff_m = 1.5e6;
 
-  IdentityObs h(d, nx, ny, nlev);
-  DiagonalR r(d, 1.0);
+  IdentityObs h_dense(d, nx, ny, nlev);
+  DiagonalR r_dense(d, 1.0);
   Ensemble prior = make_gaussian_ensemble(m, d, rng);
-  std::vector<double> y(d);
+  std::vector<double> y_dense(d);
   Rng yrng(24);
-  yrng.fill_gaussian(y, 0.0, 1.0);
+  yrng.fill_gaussian(y_dense, 0.0, 1.0);
 
-  for (const int sweeps : {1, 4}) {
-    cfg.eigh_max_sweeps = sweeps;
-    cfg.eigh_fallback = true;
-    AnalysisStats stats_seq, stats_bat;
-    Ensemble a(m, d), b(m, d);
-    a.data() = prior.data();
-    cfg.lane_batch = false;
-    {
-      LETKF letkf(cfg);
-      ASSERT_TRUE(letkf.try_analyze(a, y, h, r, {}, &stats_seq).ok());
+  // Second input: a sparse strided network whose every local problem is
+  // smaller than the ensemble (pl in 1..3 < m), so all groups take the
+  // observation-space solve and its lanes starve instead.
+  SubsampleObs h_sparse = SubsampleObs::strided_grid(nx, ny, nlev, 5);
+  DiagonalR r_sparse(h_sparse.obs_dim(), 0.5);
+  std::vector<double> y_sparse(h_sparse.obs_dim());
+  yrng.fill_gaussian(y_sparse, 0.0, 1.0);
+  for (std::size_t g = 0; g < d; ++g)
+    ASSERT_LT(local_obs(cfg, *h_sparse.locations(), g).size(), m) << "column " << g;
+
+  const auto check = [&](const ObservationOperator& h, const DiagonalR& r,
+                         std::span<const double> y, const char* net) {
+    for (const int sweeps : {1, 4}) {
+      cfg.eigh_max_sweeps = sweeps;
+      cfg.eigh_fallback = true;
+      AnalysisStats stats_seq, stats_bat;
+      Ensemble a(m, d), b(m, d);
+      a.data() = prior.data();
+      cfg.lane_batch = false;
+      {
+        LETKF letkf(cfg);
+        ASSERT_TRUE(letkf.try_analyze(a, y, h, r, {}, &stats_seq).ok());
+      }
+      b.data() = prior.data();
+      cfg.lane_batch = true;
+      {
+        LETKF letkf(cfg);
+        ASSERT_TRUE(letkf.try_analyze(b, y, h, r, {}, &stats_bat).ok());
+      }
+      EXPECT_EQ(0,
+                std::memcmp(a.data().flat().data(), b.data().flat().data(), m * d * sizeof(double)))
+          << net << " max_sweeps=" << sweeps;
+      EXPECT_EQ(stats_seq.solver_failures, stats_bat.solver_failures);
+      EXPECT_EQ(stats_seq.fallback_columns, stats_bat.fallback_columns);
+      if (sweeps == 1) {
+        EXPECT_GT(stats_bat.solver_failures, 0u);
+      }
     }
-    b.data() = prior.data();
-    cfg.lane_batch = true;
-    {
+
+    // Fallback disabled: both paths fail whole-analysis, ensemble untouched.
+    cfg.eigh_max_sweeps = 1;
+    cfg.eigh_fallback = false;
+    for (const bool batched : {false, true}) {
+      cfg.lane_batch = batched;
       LETKF letkf(cfg);
-      ASSERT_TRUE(letkf.try_analyze(b, y, h, r, {}, &stats_bat).ok());
+      Ensemble w(m, d);
+      w.data() = prior.data();
+      const Status s = letkf.try_analyze(w, y, h, r);
+      EXPECT_FALSE(s.ok()) << net << " lane_batch=" << batched;
+      EXPECT_EQ(0, std::memcmp(prior.data().flat().data(), w.data().flat().data(),
+                               m * d * sizeof(double)));
     }
-    EXPECT_EQ(0,
-              std::memcmp(a.data().flat().data(), b.data().flat().data(), m * d * sizeof(double)))
-        << "max_sweeps=" << sweeps;
-    EXPECT_EQ(stats_seq.solver_failures, stats_bat.solver_failures);
-    EXPECT_EQ(stats_seq.fallback_columns, stats_bat.fallback_columns);
-    if (sweeps == 1) EXPECT_GT(stats_bat.solver_failures, 0u);
+  };
+  check(h_dense, r_dense, y_dense, "dense");
+  check(h_sparse, r_sparse, y_sparse, "sparse");
+}
+
+/// Naive per-column ensemble-space LETKF without RTPS or inflation: every
+/// column eigendecomposes the m x m A = (m-1) I + Yb^T W Yb with
+/// tensor::jacobi_eigh (W the localization weights over R, times the QC
+/// mask, over r_scale) and applies wbar = V diag(1/l) V^T Yb^T W d and
+/// Wa = sqrt(m-1) V diag(1/sqrt(l)) V^T, xa_i = xbar + Xb (wbar + Wa e_i).
+Ensemble naive_letkf(const Ensemble& prior, std::span<const double> y, const SubsampleObs& h,
+                     const DiagonalR& r, const LetkfConfig& cfg, const AnalysisOptions& opts) {
+  const std::size_t m = prior.size(), d = prior.dim(), p = h.obs_dim();
+  const auto locs = *h.locations();
+  const auto xbar = prior.mean();
+  tensor::Tensor yb({p, m});
+  std::vector<double> ybar(p, 0.0), buf(p);
+  for (std::size_t k = 0; k < m; ++k) {
+    h.apply(prior.member(k), buf);
+    for (std::size_t o = 0; o < p; ++o) {
+      yb(o, k) = buf[o];
+      ybar[o] += buf[o] / static_cast<double>(m);
+    }
+  }
+  for (std::size_t o = 0; o < p; ++o)
+    for (std::size_t k = 0; k < m; ++k) yb(o, k) -= ybar[o];
+  const auto accepted = [&](std::size_t o) { return opts.obs_mask.empty() || opts.obs_mask[o]; };
+
+  Ensemble post(m, d);
+  tensor::Tensor a({m, m}), v;
+  std::vector<double> l, cd(m), wbar(m);
+  for (std::size_t g = 0; g < d; ++g) {
+    a.fill(0.0);
+    std::fill(cd.begin(), cd.end(), 0.0);
+    for (const auto& [o, rho] : local_obs(cfg, locs, g)) {
+      const double w = accepted(o) ? rho / r.variance(o) / opts.r_scale : 0.0;
+      const double innov = accepted(o) ? y[o] - ybar[o] : 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        cd[i] += yb(o, i) * w * innov;
+        for (std::size_t j = 0; j < m; ++j) a(i, j) += yb(o, i) * w * yb(o, j);
+      }
+    }
+    for (std::size_t i = 0; i < m; ++i) a(i, i) += static_cast<double>(m - 1);
+    tensor::jacobi_eigh(a, v, l);
+    for (std::size_t i = 0; i < m; ++i) {
+      wbar[i] = 0.0;
+      for (std::size_t c = 0; c < m; ++c) {
+        double vtcd = 0.0;
+        for (std::size_t k = 0; k < m; ++k) vtcd += v(k, c) * cd[k];
+        wbar[i] += v(i, c) * vtcd / l[c];
+      }
+    }
+    const double sqm1 = std::sqrt(static_cast<double>(m - 1));
+    for (std::size_t j = 0; j < m; ++j) {
+      double xa = xbar[g];
+      for (std::size_t k = 0; k < m; ++k) {
+        double wa = 0.0;
+        for (std::size_t c = 0; c < m; ++c) wa += v(k, c) * v(j, c) / std::sqrt(l[c]);
+        xa += (prior.member(k)[g] - xbar[g]) * (wbar[k] + sqm1 * wa);
+      }
+      post.member(j)[g] = xa;
+    }
+  }
+  return post;
+}
+
+TEST(Letkf, ObservationSpaceMatchesEnsembleSpaceOracle) {
+  // Local problems with fewer observations than members (pl < m) are solved
+  // in the pl x pl observation space, all others in the m x m ensemble
+  // space. Both paths, batched and sequential, must match the naive
+  // ensemble-space oracle to 1e-10 relative (max abs difference over the
+  // largest oracle value) on both sides of the pl = m boundary, with a
+  // QC-masked observation, deflated R^{-1}, and a rank-deficient Z Z^T.
+  const std::size_t m = 8;
+  const auto run = [&](const char* name, const LetkfConfig& base, const Ensemble& prior,
+                       const SubsampleObs& h, std::span<const double> y, const DiagonalR& r,
+                       const AnalysisOptions& opts) {
+    const Ensemble want = naive_letkf(prior, y, h, r, base, opts);
+    double scale = 0.0;
+    for (const double v : want.data().flat()) scale = std::max(scale, std::abs(v));
+    for (const bool batched : {false, true}) {
+      LetkfConfig cfg = base;
+      cfg.lane_batch = batched;
+      Ensemble got(prior.size(), prior.dim());
+      got.data() = prior.data();
+      LETKF letkf(cfg);
+      ASSERT_TRUE(letkf.try_analyze(got, y, h, r, opts).ok()) << name;
+      double err = 0.0;
+      for (std::size_t i = 0; i < got.data().flat().size(); ++i)
+        err = std::max(err, std::abs(got.data().flat()[i] - want.data().flat()[i]));
+      EXPECT_LE(err / scale, 1e-10) << name << " lane_batch=" << batched;
+    }
+  };
+
+  // Localization effectively off on a tiny single-level domain: every column
+  // sees all p observations, so pl = p exactly.
+  const std::size_t nx = 6, ny = 6, d = nx * ny;
+  LetkfConfig global;
+  global.nx = nx;
+  global.ny = ny;
+  global.n_levels = 1;
+  global.domain_m = 1.0;
+  global.cutoff_m = 1e9;
+  global.rossby_radius_m = 0.0;
+  global.rtps = 0.0;
+  const auto network = [&](std::size_t p) {
+    std::vector<std::size_t> idx;
+    std::vector<ObsLocation> locs;
+    for (std::size_t o = 0; o < p; ++o) {
+      const std::size_t cell = (o * 7) % d;  // distinct cells for p <= d
+      idx.push_back(cell);
+      locs.push_back({static_cast<int>(cell % nx), static_cast<int>(cell / nx), 0});
+    }
+    return SubsampleObs(d, std::move(idx), std::move(locs));
+  };
+  Rng rng(31);
+  const Ensemble prior = make_gaussian_ensemble(m, d, rng);
+  const auto obs = [&](std::size_t p) {
+    std::vector<double> y(p);
+    Rng yrng(32 + p);
+    yrng.fill_gaussian(y, 0.5, 1.0);
+    return y;
+  };
+
+  for (const std::size_t p : {std::size_t{1}, m - 1, m, m + 3}) {
+    const SubsampleObs h = network(p);
+    for (std::size_t g = 0; g < d; ++g) ASSERT_EQ(local_obs(global, *h.locations(), g).size(), p);
+    const std::string name = "pl=" + std::to_string(p);
+    run(name.c_str(), global, prior, h, obs(p), DiagonalR(p, 0.5), {});
   }
 
-  // Fallback disabled: both paths fail whole-analysis, ensemble untouched.
-  cfg.eigh_max_sweeps = 1;
-  cfg.eigh_fallback = false;
-  for (const bool batched : {false, true}) {
-    cfg.lane_batch = batched;
-    LETKF letkf(cfg);
-    Ensemble w(m, d);
-    w.data() = prior.data();
-    const Status s = letkf.try_analyze(w, y, h, r);
-    EXPECT_FALSE(s.ok()) << "lane_batch=" << batched;
-    EXPECT_EQ(0, std::memcmp(prior.data().flat().data(), w.data().flat().data(),
-                             m * d * sizeof(double)));
+  const std::size_t p = m - 1;
+  const SubsampleObs h = network(p);
+  const DiagonalR r(p, 0.5);
+  {
+    // QC-masked observation with a wild value: weight 0, innovation 0.
+    std::vector<double> y = obs(p);
+    y[2] = 1e6;
+    std::vector<std::uint8_t> mask(p, 1);
+    mask[2] = 0;
+    AnalysisOptions opts;
+    opts.obs_mask = mask;
+    run("masked", global, prior, h, y, r, opts);
   }
+  {
+    AnalysisOptions opts;
+    opts.r_scale = 2.0;
+    run("r_scale=2", global, prior, h, obs(p), r, opts);
+  }
+  {
+    // Two observed cells with identical ensemble perturbations: Z has two
+    // parallel rows, so Z Z^T is rank-deficient.
+    Ensemble twin(m, d);
+    twin.data() = prior.data();
+    const std::size_t c0 = h.indices()[0], c1 = h.indices()[1];
+    for (std::size_t k = 0; k < m; ++k) twin.member(k)[c1] = twin.member(k)[c0] + 0.75;
+    run("rank-deficient", global, twin, h, obs(p), r, {});
+  }
+
+  // Real localization on a strided two-level network: pl ranges over 6..11,
+  // so one analysis mixes observation- and ensemble-space groups.
+  LetkfConfig local;
+  local.nx = 11;
+  local.ny = 11;
+  local.n_levels = 2;
+  local.domain_m = 4.0e6;
+  local.cutoff_m = 1.5e6;
+  local.rtps = 0.0;
+  const SubsampleObs hs = SubsampleObs::strided_grid(11, 11, 2, 3);
+  std::size_t pl_min = SIZE_MAX, pl_max = 0;
+  for (std::size_t g = 0; g < 11 * 11 * 2; ++g) {
+    const std::size_t pl = local_obs(local, *hs.locations(), g).size();
+    pl_min = std::min(pl_min, pl);
+    pl_max = std::max(pl_max, pl);
+  }
+  ASSERT_LT(pl_min, m);
+  ASSERT_GT(pl_max, m);
+  Rng lrng(33);
+  const Ensemble lprior = make_gaussian_ensemble(m, 11 * 11 * 2, lrng);
+  std::vector<double> ys(hs.obs_dim());
+  lrng.fill_gaussian(ys, 0.0, 1.0);
+  run("localized", local, lprior, hs, ys, DiagonalR(hs.obs_dim(), 0.5), {});
 }
 
 TEST(Ensf, RecoversPosteriorForScalarGaussian) {
