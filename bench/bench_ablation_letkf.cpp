@@ -137,7 +137,7 @@ struct ScaleRow {
   }
   pt.print();
   std::cout << "('batched/scalar cols' is the SIMD lane-occupancy split: columns solved in\n"
-               " full lane batches vs the sequential remainder path.)\n";
+               " full lane batches vs padded batches + empty selections.)\n";
   if (!all_same) std::cout << "ERROR: multi-threaded analysis diverged from 1 thread\n";
   return all_same;
 }

@@ -446,21 +446,14 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
   // scratch. Each group solves its local problem once on the
   // representative's observation selection and applies the resulting weight
   // matrix to every member column; groups touch disjoint xaT rows, so the
-  // result is bitwise identical for any thread count. A group whose local
-  // problem is smaller than the ensemble (pl < m) is solved in observation
-  // space (solve_obs), any other in ensemble space (solve_one / solve_batch).
-  // With lane_batch the chunk packs same-size groups into SIMD lane batches;
-  // every lane reproduces the sequential arithmetic exactly, so the packing
-  // is bitwise invisible.
+  // result is bitwise identical for any thread count. The chunk packs groups
+  // of equal local problem size pl into SIMD lane batches, each size run's
+  // last batch padded with dead lanes. A batch with pl < m is solved in
+  // observation space (solve_obs), any other in ensemble space
+  // (solve_batch). A lane's arithmetic never depends on what shares its
+  // batch, so the packing is bitwise invisible.
   const auto solve_groups = [&](std::size_t gr_begin, std::size_t gr_end) {
     const auto& dk = simd::active_dense_kernels();
-    std::vector<std::int32_t> sel_idx_l;
-    std::vector<double> sel_w_l;
-    std::vector<double> yT, yTw, wi;
-    Tensor amat({m, m}), vmat;
-    std::vector<double> evals;
-    std::vector<double> cd(m), vtcd(m), wbar(m), wb(m), isq(m), acc(m);
-    std::vector<double> vT(m * m), usT(m * m), wmat(m * m);
     // Lane-batched scratch: lane-interleaved SoA, one problem per Vec lane.
     constexpr std::size_t W = simd::kLaneBatch;
     std::array<std::vector<std::int32_t>, W> sel_idx_b;
@@ -474,142 +467,13 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     std::vector<double> ztb, sb, bb, ub, lamb, qb, qtb, hqtb, tb, cb, hb;
     tensor::EighInfo einfos[W];
     tensor::EighBatchScratch eigh_scratch;
-    std::vector<std::uint32_t> batch_order, rest;
+    std::vector<std::uint32_t> batch_order;
     std::size_t loc_batched_cols = 0, loc_scalar_cols = 0;
     LetkfTimings pt;
     WallTimer ph;
     std::size_t loc_failures = 0, loc_fallback_cols = 0;
     auto& tc = telemetry::TraceCollector::instance();
     const std::uint64_t chunk_t0 = tr ? tc.now_ns() : 0;
-
-    const auto solve_one = [&](std::size_t gr) {
-      const std::uint32_t* cols = plan.group_cols.data() + plan.group_off[gr];
-      const std::size_t ncols = plan.group_off[gr + 1] - plan.group_off[gr];
-      const std::size_t rep = cols[0];
-
-      // Local observation selection: materialized list or template walk.
-      if (tm) ph.reset();
-      const std::int32_t* sidx;
-      const double* sw;
-      std::size_t pl;
-      if (plan.materialized) {
-        sidx = plan.sel_idx.data() + plan.col_off[rep];
-        sw = plan.sel_w.data() + plan.col_off[rep];
-        pl = static_cast<std::size_t>(plan.col_off[rep + 1] - plan.col_off[rep]);
-      } else {
-        sel_idx_l.clear();
-        sel_w_l.clear();
-        plan.for_each(rep, [&](std::int32_t o, double wv) {
-          sel_idx_l.push_back(o);
-          sel_w_l.push_back(wv);
-        });
-        sidx = sel_idx_l.data();
-        sw = sel_w_l.data();
-        pl = sel_idx_l.size();
-      }
-      if (tm) pt.select_ms += ph.milliseconds();
-
-      if (pl == 0) {  // no usable obs: analysis = forecast
-        if (tm) ph.reset();
-        for (std::size_t ci = 0; ci < ncols; ++ci) {
-          const std::size_t g = cols[ci];
-          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
-        }
-        if (tm) pt.combine_ms += ph.milliseconds();
-        return;
-      }
-
-      // Gather local Yb^T rows (contiguous m-vectors), the R-localized
-      // copies, and the weighted innovations.
-      if (tm) ph.reset();
-      yT.resize(pl * m);
-      yTw.resize(pl * m);
-      wi.resize(pl);
-      for (std::size_t o = 0; o < pl; ++o) {
-        const auto oidx = static_cast<std::size_t>(sidx[o]);
-        std::memcpy(&yT[o * m], &yensT(oidx, 0), m * sizeof(double));
-        // QC enters here rather than in the plan: the effective weight of a
-        // masked observation is 0 (exact excision) and r_scale uniformly
-        // deflates R^{-1}, so the cached network plan stays valid. With
-        // default options w_eff == sw[o] bitwise (inv_r_scale is exactly 1).
-        const double w_eff =
-            (mask != nullptr && mask[oidx] == 0) ? 0.0 : sw[o] * inv_r_scale;
-        dk.scale(&yTw[o * m], &yT[o * m], m, w_eff);
-        wi[o] = w_eff * innov[oidx];
-      }
-      if (tm) pt.gather_ms += ph.milliseconds();
-
-      // A = (m-1) I + Yb^T Rloc^{-1} Yb, upper triangle row by row.
-      if (tm) ph.reset();
-      for (std::size_t a = 0; a < m; ++a) {
-        std::fill_n(&amat(a, a), m - a, 0.0);
-        dk.accum_rows(&amat(a, a), yTw.data() + a, m, yT.data() + a, m, pl, m - a);
-      }
-      for (std::size_t a = 0; a < m; ++a) {
-        amat(a, a) += static_cast<double>(m - 1);
-        for (std::size_t b = a + 1; b < m; ++b) amat(b, a) = amat(a, b);
-      }
-      if (tm) pt.gram_ms += ph.milliseconds();
-
-      // A non-convergent local solve never crosses a thread boundary as an
-      // exception: with fallback enabled the group keeps its forecast and
-      // cycling continues; otherwise the rethrow is marshalled by
-      // parallel_for to the calling thread, and xaT is simply discarded.
-      if (tm) ph.reset();
-      bool solved = true;
-      try {
-        tensor::jacobi_eigh(amat, vmat, evals, cfg_.eigh_max_sweeps);
-      } catch (const Error&) {
-        if (!cfg_.eigh_fallback) throw;
-        solved = false;
-      }
-      if (tm) pt.eigh_ms += ph.milliseconds();
-      if (!solved) {
-        ++loc_failures;
-        loc_fallback_cols += ncols;
-        for (std::size_t ci = 0; ci < ncols; ++ci) {
-          const std::size_t g = cols[ci];
-          dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
-        }
-        return;
-      }
-
-      // Ensemble-space weights: wbar = V diag(1/l) V^T C innov and
-      // wmat(k, i) = (V wbar)_k + sqrt(m-1) sum_a V(k,a) V(i,a) / sqrt(l_a).
-      if (tm) ph.reset();
-      std::fill(cd.begin(), cd.end(), 0.0);
-      dk.accum_rows(cd.data(), wi.data(), 1, yT.data(), m, pl, m);
-      std::fill(vtcd.begin(), vtcd.end(), 0.0);
-      dk.accum_rows(vtcd.data(), cd.data(), 1, vmat.data(), m, m, m);
-      for (std::size_t a = 0; a < m; ++a) {
-        wbar[a] = vtcd[a] / evals[a];
-        isq[a] = 1.0 / std::sqrt(evals[a]);
-      }
-      for (std::size_t a = 0; a < m; ++a) {
-        double* dst = &vT[a * m];
-        for (std::size_t i = 0; i < m; ++i) dst[i] = vmat(i, a);
-      }
-      std::fill(wb.begin(), wb.end(), 0.0);
-      dk.accum_rows(wb.data(), wbar.data(), 1, vT.data(), m, m, m);
-      for (std::size_t a = 0; a < m; ++a) dk.scale(&usT[a * m], &vT[a * m], m, isq[a]);
-      for (std::size_t k = 0; k < m; ++k) {
-        std::fill(acc.begin(), acc.end(), 0.0);
-        dk.accum_rows(acc.data(), &vmat(k, 0), 1, usT.data(), m, m, m);
-        dk.scale_shift(&wmat[k * m], acc.data(), m, sqm1, wb[k]);
-      }
-      if (tm) pt.weights_ms += ph.milliseconds();
-
-      // Posterior combine for every member column of the group:
-      // xa(:, g) = xbar[g] + wmat^T Xb(:, g).
-      if (tm) ph.reset();
-      for (std::size_t ci = 0; ci < ncols; ++ci) {
-        const std::size_t g = cols[ci];
-        std::fill(acc.begin(), acc.end(), 0.0);
-        dk.accum_rows(acc.data(), &xbT(g, 0), 1, wmat.data(), m, m, m);
-        dk.scale_shift(&xaT(g, 0), acc.data(), m, 1.0, xbar[g]);
-      }
-      if (tm) pt.combine_ms += ph.milliseconds();
-    };
 
     // Lane state shared by the two lane-batched solves: each lane's
     // observation selection and member columns, and whether its eigensolve
@@ -647,7 +511,11 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       if (tm) pt.select_ms += ph.milliseconds();
     };
 
-    // Per-lane non-convergence follows the sequential fallback policy.
+    // A lane whose eigensolve does not converge never crosses a thread
+    // boundary as an exception: with fallback enabled its group keeps the
+    // forecast (combine_lanes) and cycling continues; otherwise the throw is
+    // marshalled by parallel_for to the calling thread, and xaT is simply
+    // discarded.
     const auto check_lanes = [&](std::size_t nb) {
       for (std::size_t l = 0; l < nb; ++l) {
         fell[l] = !einfos[l].converged;
@@ -659,9 +527,10 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       }
     };
 
-    // Posterior combine of the lanes' weight matrices (wmatb), lanes
-    // advancing through their column lists in lockstep; exhausted lanes
-    // recompute their last column into scratch and skip the scatter.
+    // Posterior combine xa(:, g) = xbar[g] + wmat^T Xb(:, g) of the lanes'
+    // weight matrices (wmatb), lanes advancing through their column lists in
+    // lockstep; exhausted lanes recompute their last column into scratch and
+    // skip the scatter.
     const auto combine_lanes = [&] {
       if (tm) ph.reset();
       double xbarb[W] = {0.0, 0.0, 0.0, 0.0};
@@ -684,7 +553,7 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
           for (std::size_t k = 0; k < m; ++k) xaT(g, k) = xaTb[k * W + l];
         }
       }
-      // Non-converged lanes keep the forecast, exactly like solve_one.
+      // Non-converged lanes keep the forecast.
       for (std::size_t l = 0; l < W; ++l) {
         if (!fell[l]) continue;
         ++loc_failures;
@@ -697,22 +566,26 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
       if (tm) pt.combine_ms += ph.milliseconds();
     };
 
-    // Lane-batched ensemble-space solve of kLaneBatch groups with identical
-    // local problem size pl >= m: the solve_one phase sequence with every
-    // per-problem kernel replaced by its lane-batched counterpart. Each lane
-    // executes the exact sequential IEEE operation sequence, so routing a
-    // group through here never changes its bits.
-    const auto solve_batch = [&](const std::uint32_t* grs, std::size_t pl) {
-      select_lanes(grs, W);
+    // Ensemble-space solve of nb <= kLaneBatch groups with identical local
+    // problem size pl >= m, lane-batched: A = (m-1) I + Yb^T Rloc^{-1} Yb =
+    // V diag(l) V^T, wbar = V diag(1/l) V^T C innov and wmat(k, i) =
+    // (V wbar)_k + sqrt(m-1) sum_a V(k,a) V(i,a) / sqrt(l_a). Padded lanes
+    // hold no columns and never feed a live one.
+    const auto solve_batch = [&](const std::uint32_t* grs, std::size_t nb, std::size_t pl) {
+      select_lanes(grs, nb);
 
-      // Gather the four columns' local rows lane-interleaved.
+      // Gather the live lanes' local rows lane-interleaved. QC enters here
+      // rather than in the plan: the effective weight of a masked
+      // observation is 0 (exact excision) and r_scale uniformly deflates
+      // R^{-1}, so the cached network plan stays valid. With default options
+      // w_eff == sw[o] bitwise (inv_r_scale is exactly 1).
       if (tm) ph.reset();
       yTb.resize(pl * m * W);
       yTwb.resize(pl * m * W);
       weffb.resize(pl * W);
       wib.resize(pl * W);
       for (std::size_t o = 0; o < pl; ++o) {
-        for (std::size_t l = 0; l < W; ++l) {
+        for (std::size_t l = 0; l < nb; ++l) {
           const auto oidx = static_cast<std::size_t>(sidx_b[l][o]);
           const double* src = &yensT(oidx, 0);
           double* dst = &yTb[o * m * W + l];
@@ -744,13 +617,14 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
 
       // Masked lane-batched eigensolve.
       if (tm) ph.reset();
-      tensor::jacobi_eigh_batch(amatb.data(), m, W, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
+      tensor::jacobi_eigh_batch(amatb.data(), m, nb, vb.data(), wlb.data(), cfg_.eigh_max_sweeps,
                                 einfos, &eigh_scratch);
       if (tm) pt.eigh_ms += ph.milliseconds();
-      check_lanes(W);
+      check_lanes(nb);
 
       // Weights for all lanes (non-converged lanes hold the benign identity
-      // eigensystem; combine_lanes discards their results).
+      // eigensystem, padded lanes stale scratch; combine_lanes discards
+      // both).
       if (tm) ph.reset();
       std::fill(cdb.begin(), cdb.end(), 0.0);
       dk.baccum_rows(cdb.data(), wib.data(), 1, yTb.data(), m, pl, m);
@@ -779,9 +653,8 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     };
 
     // Observation-space solve of nb <= kLaneBatch groups with identical
-    // local problem size pl < m, lane-batched; the sequential path calls it
-    // with one live lane. Padded lanes hold no columns and never feed a
-    // live one, so a group's bits do not depend on which path solved it.
+    // local problem size pl < m, lane-batched. Padded lanes hold no columns
+    // and never feed a live one.
     // With Z = W^{1/2} Yb_loc (pl x m; W the effective weights after
     // localization, QC mask and r_scale), A = (m-1) I + Z^T Z is (m-1) I
     // plus a matrix of rank <= pl, so the pl x pl eigensolve
@@ -884,56 +757,46 @@ Status LETKF::analyze_impl(Ensemble& ens, std::span<const double> y,
     const auto group_pl = [&](std::uint32_t gr) {
       return plan.col_pl[plan.group_cols[plan.group_off[gr]]];
     };
-    // Sequential path: observation-space groups take solve_obs with one live
-    // lane, empty and ensemble-space selections take solve_one.
-    const auto solve_seq = [&](std::uint32_t gr) {
-      loc_scalar_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-      const std::size_t pl = group_pl(gr);
-      if (pl > 0 && pl < m)
-        solve_obs(&gr, 1, pl);
-      else
-        solve_one(gr);
+    const auto group_ncols = [&](std::uint32_t gr) {
+      return std::size_t{plan.group_off[gr + 1] - plan.group_off[gr]};
     };
-    if (cfg_.lane_batch) {
-      // Pack this chunk's groups into full lane batches of identical local
-      // problem size; each size run's tail and empty selections take the
-      // sequential path. Lane results never depend on what shares a batch,
-      // so any chunking or packing yields identical bits.
-      batch_order.clear();
-      rest.clear();
-      for (std::size_t gr = gr_begin; gr < gr_end; ++gr) {
-        if (group_pl(static_cast<std::uint32_t>(gr)) == 0)
-          rest.push_back(static_cast<std::uint32_t>(gr));
-        else
-          batch_order.push_back(static_cast<std::uint32_t>(gr));
+    // Groups without local observations keep the forecast; the rest are
+    // sorted by local problem size and cut into lane batches, each size
+    // run's last batch padded.
+    batch_order.clear();
+    for (std::size_t i = gr_begin; i < gr_end; ++i) {
+      const auto gr = static_cast<std::uint32_t>(i);
+      if (group_pl(gr) != 0) {
+        batch_order.push_back(gr);
+        continue;
       }
-      std::sort(batch_order.begin(), batch_order.end(), [&](std::uint32_t a, std::uint32_t b) {
-        const std::uint32_t pa = group_pl(a), pb = group_pl(b);
-        return pa != pb ? pa < pb : a < b;
-      });
-      std::size_t i = 0;
-      while (i < batch_order.size()) {
-        const std::uint32_t pl_run = group_pl(batch_order[i]);
-        std::size_t run_end = i + 1;
-        while (run_end < batch_order.size() && group_pl(batch_order[run_end]) == pl_run)
-          ++run_end;
-        std::size_t b = i;
-        for (; b + W <= run_end; b += W) {
-          if (pl_run < m)
-            solve_obs(&batch_order[b], W, pl_run);
-          else
-            solve_batch(&batch_order[b], pl_run);
-          for (std::size_t l = 0; l < W; ++l) {
-            const std::uint32_t gr = batch_order[b + l];
-            loc_batched_cols += plan.group_off[gr + 1] - plan.group_off[gr];
-          }
-        }
-        for (; b < run_end; ++b) rest.push_back(batch_order[b]);
-        i = run_end;
+      if (tm) ph.reset();
+      const std::uint32_t* cols = plan.group_cols.data() + plan.group_off[gr];
+      const std::size_t ncols = group_ncols(gr);
+      for (std::size_t ci = 0; ci < ncols; ++ci) {
+        const std::size_t g = cols[ci];
+        dk.scale_shift(&xaT(g, 0), &xbT(g, 0), m, 1.0, xbar[g]);
       }
-      for (const std::uint32_t gr : rest) solve_seq(gr);
-    } else {
-      for (std::size_t gr = gr_begin; gr < gr_end; ++gr) solve_seq(static_cast<std::uint32_t>(gr));
+      loc_scalar_cols += ncols;
+      if (tm) pt.combine_ms += ph.milliseconds();
+    }
+    std::sort(batch_order.begin(), batch_order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const std::uint32_t pa = group_pl(a), pb = group_pl(b);
+      return pa != pb ? pa < pb : a < b;
+    });
+    for (std::size_t b = 0; b < batch_order.size();) {
+      const std::uint32_t* grs = &batch_order[b];
+      const std::size_t pl = group_pl(grs[0]);
+      std::size_t nb = 1;
+      while (nb < W && b + nb < batch_order.size() && group_pl(grs[nb]) == pl) ++nb;
+      if (pl < m)
+        solve_obs(grs, nb, pl);
+      else
+        solve_batch(grs, nb, pl);
+      std::size_t ncols = 0;
+      for (std::size_t l = 0; l < nb; ++l) ncols += group_ncols(grs[l]);
+      (nb == W ? loc_batched_cols : loc_scalar_cols) += ncols;
+      b += nb;
     }
 
     if (loc_failures != 0) {

@@ -69,16 +69,6 @@ struct LetkfConfig {
   /// default — the clock calls are pure overhead in production runs).
   bool collect_timings = false;
 
-  /// Pack same-shape local problems into SIMD lane batches: each worker
-  /// sorts its chunk's groups by local observation count and advances
-  /// simd::kLaneBatch equal-size problems in lockstep, one per Vec lane,
-  /// through lane-batched Gram/eigensolve/weights/combine kernels. Every
-  /// lane executes the exact IEEE operation sequence of the sequential
-  /// solve, so this is bitwise invisible at every dispatch level — a pure
-  /// optimization knob, kept switchable for the equivalence tests. The
-  /// remainder (partial runs, empty selections) takes the sequential path.
-  bool lane_batch = true;
-
   /// Sweep budget for the per-group symmetric eigensolves.
   int eigh_max_sweeps = 50;
 
@@ -103,9 +93,9 @@ struct LetkfTimings {
   std::size_t analyses = 0;
   std::size_t columns = 0;  ///< column analyses requested
   std::size_t groups = 0;   ///< unique local problems actually solved
-  /// Lane-occupancy split of the column analyses (see
-  /// LetkfConfig::lane_batch): columns solved through full lane batches vs
-  /// the sequential remainder path (partial runs + empty selections).
+  /// Lane-occupancy split of the column analyses: columns solved through
+  /// full lane batches vs padded batches (each size run's last, partial
+  /// batch) + empty selections (no local observations, forecast kept).
   std::size_t batched_columns = 0;
   std::size_t scalar_columns = 0;
 };

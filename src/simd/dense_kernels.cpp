@@ -15,7 +15,6 @@ namespace {
 static_assert(VecScalar::kWidth == kLaneBatch, "lane-batched kernels assume kWidth lanes");
 
 constexpr DenseKernels kScalarDense = {
-    detail::accum_rows_impl<VecScalar, false>,
     detail::rot_rows_impl<VecScalar, false>,
     detail::scale_impl<VecScalar>,
     detail::scale_shift_impl<VecScalar, false>,

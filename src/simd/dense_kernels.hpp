@@ -1,12 +1,12 @@
 // Runtime-dispatched small-dense kernels for the ensemble-space hot loops.
 //
-// The LETKF analysis and the Jacobi eigensolver reduce to four primitive
-// loops over contiguous rows: a rank-k row accumulation (every Gram build,
-// GEMV and small GEMM in the weight algebra), a Givens rotation of two rows,
-// and two scale/shift forms for the posterior combine. Like the FFT tables,
-// each primitive is written once against the portable simd::Vec API
-// (dense_kernels_impl.hpp) and instantiated per backend behind a table of
-// function pointers keyed by the process-global simd::SimdLevel.
+// The sequential Jacobi eigensolver and the EnSF/LETKF elementwise updates
+// reduce to three primitive loops over contiguous rows: a Givens rotation of
+// two rows and two scale/shift forms. Like the FFT tables, each primitive
+// (and every lane-batched entry below) is written once against the portable
+// simd::Vec API (dense_kernels_impl.hpp) and instantiated per backend
+// behind a table of function pointers keyed by the process-global
+// simd::SimdLevel.
 //
 // Determinism contract: every kernel vectorizes over independent output
 // lanes and accumulates sequentially over the reduction index — no lane
@@ -14,15 +14,18 @@
 // and results never depend on thread count. The Avx2Fma table contracts
 // multiplies into FMAs (~1 ulp per accumulation step).
 //
-// The lane-batched b* entries flip the vectorization axis: instead of
-// vectorizing one problem's output row, they advance kLaneBatch independent
-// problems in lockstep, one problem per Vec lane, over lane-interleaved
+// The lane-batched b* entries carry every LETKF local solve (Gram builds,
+// GEMVs and small GEMMs of the weight algebra, posterior combine, Jacobi
+// sweeps). They flip the vectorization axis: instead of vectorizing one
+// problem's output row, they advance kLaneBatch independent problems in
+// lockstep, one problem per Vec lane, over lane-interleaved
 // structure-of-arrays buffers (logical element e of problem l lives at
 // ptr[e * kLaneBatch + l]). Per lane they perform the exact IEEE operation
-// sequence of their sequential counterpart at the same dispatch level —
-// including the fused steps of the Avx2Fma table — so a lane-batched solve
-// is bitwise identical to kLaneBatch sequential solves at EVERY level, and
-// every Vec op is fully occupied regardless of the problem size.
+// sequence of the one-problem loop at the same dispatch level — including
+// the fused steps of the Avx2Fma table — so a lane's result never depends on
+// what shares its batch, bjacobi_sweeps is bitwise identical to the
+// sequential jacobi_eigh at EVERY level, and every Vec op is fully occupied
+// regardless of the problem size.
 #pragma once
 
 #include <cstddef>
@@ -36,11 +39,6 @@ namespace turbda::simd {
 inline constexpr std::size_t kLaneBatch = 4;
 
 struct DenseKernels {
-  /// acc[j] += sum_i x[i * ldx] * y[i * ldy + j] for j in [0, m): a rank-k
-  /// update of one contiguous accumulator row from k strided coefficients
-  /// and k contiguous rows of y. Sequential over i, vector over j.
-  void (*accum_rows)(double* acc, const double* x, std::size_t ldx, const double* y,
-                     std::size_t ldy, std::size_t k, std::size_t m);
   /// Givens rotation of two contiguous rows:
   /// (p[i], q[i]) <- (c*p[i] - s*q[i], s*p[i] + c*q[i]).
   void (*rot_rows)(double* p, double* q, std::size_t n, double c, double s);
@@ -51,10 +49,10 @@ struct DenseKernels {
 
   // ---- Lane-batched entries: kLaneBatch problems, lane-interleaved SoA ----
 
-  /// Lane-batched accum_rows. Same contract per lane, with ldx/ldy/k/m in
-  /// logical elements (byte strides are kLaneBatch times larger): for each
-  /// problem l, acc[j] += sum_i x[i*ldx]*y[i*ldy+j]. One Vec op per logical
-  /// element, fully occupied for any row length m.
+  /// Lane-batched rank-k row update, with ldx/ldy/k/m in logical elements
+  /// (byte strides are kLaneBatch times larger): for each problem l,
+  /// acc[j] += sum_i x[i*ldx]*y[i*ldy+j] for j in [0, m), sequential over i.
+  /// One Vec op per logical element, fully occupied for any row length m.
   void (*baccum_rows)(double* acc, const double* x, std::size_t ldx, const double* y,
                       std::size_t ldy, std::size_t k, std::size_t m);
   /// Lane-batched scale with a per-lane factor: out[j] = alpha[lane]*in[j].

@@ -491,15 +491,28 @@ std::vector<std::pair<std::size_t, double>> local_obs(const LetkfConfig& cfg,
   return out;
 }
 
-TEST(Letkf, LaneBatchedMatchesSequentialBitwiseAcrossLevelsAndThreads) {
+/// Non-vacuity of a thread-count comparison: the 2-chunk run must mix full
+/// and padded lane batches and cut them differently from the 1-chunk
+/// reference, so some group changes batch kind between the compared runs.
+/// (parallel_for always has at least two chunks available, so a 2-thread
+/// run splits the groups on any host.)
+void expect_repacked(const LetkfTimings& one, const LetkfTimings& two, const std::string& what) {
+  EXPECT_EQ(two.batched_columns + two.scalar_columns, two.columns) << what;
+  EXPECT_GT(two.batched_columns, 0u) << what;
+  EXPECT_GT(two.scalar_columns, 0u) << what;
+  EXPECT_NE(two.batched_columns, one.batched_columns) << what;
+}
+
+TEST(Letkf, LanePackingIsBitwiseInvisibleAcrossLevelsThreadsAndPlanBudgets) {
   // A strided sparse network on an odd-size grid: local problem sizes vary
   // across columns and worker chunks hold group counts that are not lane
-  // multiples, so the batched run exercises full batches, size-run tails,
-  // and the sequential remainder path together. The result must be bitwise
-  // identical to the pure sequential path at every dispatch level and any
-  // thread count.
+  // multiples, so every run mixes full lane batches with padded ones, and
+  // each thread count cuts the chunks (and so the batches) differently. The
+  // result must be bitwise identical to the 1-thread run at every dispatch
+  // level and thread count, whether the plan materializes the local
+  // selections or walks the weight template per group (plan_budget_mb = 0).
   Rng rng(21);
-  const std::size_t nx = 11, ny = 11, nlev = 2;
+  const std::size_t nx = 11, ny = 13, nlev = 2;
   const std::size_t d = nx * ny * nlev;
   const std::size_t m = 8;
 
@@ -519,48 +532,62 @@ TEST(Letkf, LaneBatchedMatchesSequentialBitwiseAcrossLevelsAndThreads) {
   Rng yrng(22);
   yrng.fill_gaussian(y, 0.0, 1.0);
 
+  const auto analyze = [&](std::size_t nt, std::size_t budget_mb, Ensemble& out) {
+    cfg.n_threads = nt;
+    cfg.plan_budget_mb = budget_mb;
+    LETKF letkf(cfg);
+    out.data() = prior.data();
+    letkf.analyze(out, y, h, r);
+    return letkf.timings();
+  };
+
   const simd::SimdLevel orig = simd::active_simd_level();
   for (const simd::SimdLevel lv : available_simd_levels()) {
     ASSERT_TRUE(simd::force_simd_level(lv));
     Ensemble ref(m, d);
-    ref.data() = prior.data();
-    {
-      cfg.lane_batch = false;
-      cfg.n_threads = 1;
-      LETKF letkf(cfg);
-      letkf.analyze(ref, y, h, r);
-      EXPECT_EQ(letkf.timings().batched_columns, 0u);
-    }
-    for (const std::size_t nt : {std::size_t{1}, std::size_t{3}}) {
-      cfg.lane_batch = true;
-      cfg.n_threads = nt;
-      LETKF letkf(cfg);
-      Ensemble work(m, d);
-      work.data() = prior.data();
-      letkf.analyze(work, y, h, r);
-      EXPECT_EQ(0, std::memcmp(ref.data().flat().data(), work.data().flat().data(),
-                               m * d * sizeof(double)))
-          << simd::simd_level_name(lv) << " threads=" << nt;
-      // Occupancy accounting: every column is either batched or sequential,
-      // and this network produces work for both paths.
-      EXPECT_EQ(letkf.timings().batched_columns + letkf.timings().scalar_columns,
-                letkf.timings().columns);
-      EXPECT_GT(letkf.timings().batched_columns, 0u);
+    const LetkfTimings t_ref = analyze(1, 64, ref);
+    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      LetkfTimings t_mat;
+      for (const std::size_t budget_mb : {std::size_t{64}, std::size_t{0}}) {
+        const std::string what = std::string(simd::simd_level_name(lv)) +
+                                 " threads=" + std::to_string(nt) +
+                                 " plan_budget_mb=" + std::to_string(budget_mb);
+        Ensemble work(m, d);
+        const LetkfTimings t = analyze(nt, budget_mb, work);
+        EXPECT_EQ(0, std::memcmp(ref.data().flat().data(), work.data().flat().data(),
+                                 m * d * sizeof(double)))
+            << what;
+        // Occupancy accounting: every column is in a full or a padded
+        // batch or has no local observations.
+        EXPECT_EQ(t.batched_columns + t.scalar_columns, t.columns) << what;
+        EXPECT_GT(t.batched_columns, 0u) << what;
+        EXPECT_GT(t.scalar_columns, 0u) << what;
+        if (budget_mb == 64) {
+          t_mat = t;
+        } else {
+          // The template walk selects the same problems, so it packs the
+          // same batches.
+          EXPECT_EQ(t.batched_columns, t_mat.batched_columns) << what;
+          EXPECT_EQ(t.scalar_columns, t_mat.scalar_columns) << what;
+        }
+        if (nt == 2) expect_repacked(t_ref, t, what);
+      }
     }
   }
   simd::force_simd_level(orig);
 }
 
-TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
+TEST(Letkf, FallbackIsBitwiseInvisibleToLanePackingUnderSweepStarvation) {
   // A sweep budget too small for some local problems makes convergence vary
   // per column, so lane batches mix converged and exhausted lanes. With
-  // fallback enabled both paths must keep the forecast for exactly the same
+  // fallback enabled every thread count, each packing full and padded
+  // batches differently, must keep the forecast for exactly the same
   // columns (bitwise) and report identical failure stats; with fallback
-  // disabled both must fail without touching the ensemble. This must hold
-  // for ensemble-space solves (dense network) and observation-space solves
-  // (sparse network) alike.
+  // disabled every thread count must fail without touching the ensemble.
+  // This must hold for ensemble-space solves (dense network) and
+  // observation-space solves (sparse network) alike.
   Rng rng(23);
-  const std::size_t nx = 10, ny = 10, nlev = 2;
+  const std::size_t nx = 9, ny = 11, nlev = 2;
   const std::size_t d = nx * ny * nlev;
   const std::size_t m = 8;
 
@@ -570,6 +597,7 @@ TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
   cfg.n_levels = nlev;
   cfg.domain_m = 4.0e6;
   cfg.cutoff_m = 1.5e6;
+  cfg.collect_timings = true;
 
   IdentityObs h_dense(d, nx, ny, nlev);
   DiagonalR r_dense(d, 1.0);
@@ -579,7 +607,7 @@ TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
   yrng.fill_gaussian(y_dense, 0.0, 1.0);
 
   // Second input: a sparse strided network whose every local problem is
-  // smaller than the ensemble (pl in 1..3 < m), so all groups take the
+  // smaller than the ensemble (pl in 1..4 < m), so all groups take the
   // observation-space solve and its lanes starve instead.
   SubsampleObs h_sparse = SubsampleObs::strided_grid(nx, ny, nlev, 5);
   DiagonalR r_sparse(h_sparse.obs_dim(), 0.5);
@@ -593,40 +621,50 @@ TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
     for (const int sweeps : {1, 4}) {
       cfg.eigh_max_sweeps = sweeps;
       cfg.eigh_fallback = true;
-      AnalysisStats stats_seq, stats_bat;
-      Ensemble a(m, d), b(m, d);
+      const std::string what = std::string(net) + " max_sweeps=" + std::to_string(sweeps);
+      AnalysisStats stats_ref;
+      LetkfTimings t_ref;
+      Ensemble a(m, d);
       a.data() = prior.data();
-      cfg.lane_batch = false;
+      cfg.n_threads = 1;
       {
         LETKF letkf(cfg);
-        ASSERT_TRUE(letkf.try_analyze(a, y, h, r, {}, &stats_seq).ok());
+        ASSERT_TRUE(letkf.try_analyze(a, y, h, r, {}, &stats_ref).ok());
+        t_ref = letkf.timings();
       }
-      b.data() = prior.data();
-      cfg.lane_batch = true;
-      {
+      EXPECT_GT(t_ref.batched_columns, 0u) << what;
+      EXPECT_GT(t_ref.scalar_columns, 0u) << what;
+      for (const std::size_t nt : {std::size_t{2}, std::size_t{3}}) {
+        AnalysisStats stats;
+        Ensemble b(m, d);
+        b.data() = prior.data();
+        cfg.n_threads = nt;
         LETKF letkf(cfg);
-        ASSERT_TRUE(letkf.try_analyze(b, y, h, r, {}, &stats_bat).ok());
+        ASSERT_TRUE(letkf.try_analyze(b, y, h, r, {}, &stats).ok());
+        EXPECT_EQ(0, std::memcmp(a.data().flat().data(), b.data().flat().data(),
+                                 m * d * sizeof(double)))
+            << what << " threads=" << nt;
+        EXPECT_EQ(stats_ref.solver_failures, stats.solver_failures) << what << " threads=" << nt;
+        EXPECT_EQ(stats_ref.fallback_columns, stats.fallback_columns)
+            << what << " threads=" << nt;
+        if (nt == 2) expect_repacked(t_ref, letkf.timings(), what);
       }
-      EXPECT_EQ(0,
-                std::memcmp(a.data().flat().data(), b.data().flat().data(), m * d * sizeof(double)))
-          << net << " max_sweeps=" << sweeps;
-      EXPECT_EQ(stats_seq.solver_failures, stats_bat.solver_failures);
-      EXPECT_EQ(stats_seq.fallback_columns, stats_bat.fallback_columns);
       if (sweeps == 1) {
-        EXPECT_GT(stats_bat.solver_failures, 0u);
+        EXPECT_GT(stats_ref.solver_failures, 0u) << what;
       }
     }
 
-    // Fallback disabled: both paths fail whole-analysis, ensemble untouched.
+    // Fallback disabled: every thread count fails whole-analysis, ensemble
+    // untouched.
     cfg.eigh_max_sweeps = 1;
     cfg.eigh_fallback = false;
-    for (const bool batched : {false, true}) {
-      cfg.lane_batch = batched;
+    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      cfg.n_threads = nt;
       LETKF letkf(cfg);
       Ensemble w(m, d);
       w.data() = prior.data();
       const Status s = letkf.try_analyze(w, y, h, r);
-      EXPECT_FALSE(s.ok()) << net << " lane_batch=" << batched;
+      EXPECT_FALSE(s.ok()) << net << " threads=" << nt;
       EXPECT_EQ(0, std::memcmp(prior.data().flat().data(), w.data().flat().data(),
                                m * d * sizeof(double)));
     }
@@ -699,28 +737,43 @@ Ensemble naive_letkf(const Ensemble& prior, std::span<const double> y, const Sub
 TEST(Letkf, ObservationSpaceMatchesEnsembleSpaceOracle) {
   // Local problems with fewer observations than members (pl < m) are solved
   // in the pl x pl observation space, all others in the m x m ensemble
-  // space. Both paths, batched and sequential, must match the naive
-  // ensemble-space oracle to 1e-10 relative (max abs difference over the
-  // largest oracle value) on both sides of the pl = m boundary, with a
-  // QC-masked observation, deflated R^{-1}, and a rank-deficient Z Z^T.
+  // space. Both paths must match the naive ensemble-space oracle to 1e-10
+  // relative (max abs difference over the largest oracle value) on both
+  // sides of the pl = m boundary, with a QC-masked observation, deflated
+  // R^{-1}, and a rank-deficient Z Z^T, at every thread count; thread counts
+  // pack full and padded lane batches differently and must agree bitwise.
   const std::size_t m = 8;
+  // Lane occupancy of the last run()'s 1- and 2-thread analyses.
+  LetkfTimings t_one, t_two;
   const auto run = [&](const char* name, const LetkfConfig& base, const Ensemble& prior,
                        const SubsampleObs& h, std::span<const double> y, const DiagonalR& r,
                        const AnalysisOptions& opts) {
     const Ensemble want = naive_letkf(prior, y, h, r, base, opts);
     double scale = 0.0;
     for (const double v : want.data().flat()) scale = std::max(scale, std::abs(v));
-    for (const bool batched : {false, true}) {
+    Ensemble ref(prior.size(), prior.dim());
+    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      const std::string what = std::string(name) + " threads=" + std::to_string(nt);
       LetkfConfig cfg = base;
-      cfg.lane_batch = batched;
+      cfg.n_threads = nt;
+      cfg.collect_timings = true;
       Ensemble got(prior.size(), prior.dim());
       got.data() = prior.data();
       LETKF letkf(cfg);
-      ASSERT_TRUE(letkf.try_analyze(got, y, h, r, opts).ok()) << name;
+      ASSERT_TRUE(letkf.try_analyze(got, y, h, r, opts).ok()) << what;
       double err = 0.0;
       for (std::size_t i = 0; i < got.data().flat().size(); ++i)
         err = std::max(err, std::abs(got.data().flat()[i] - want.data().flat()[i]));
-      EXPECT_LE(err / scale, 1e-10) << name << " lane_batch=" << batched;
+      EXPECT_LE(err / scale, 1e-10) << what;
+      if (nt == 1) {
+        ref.data() = got.data();
+        t_one = letkf.timings();
+        continue;
+      }
+      EXPECT_EQ(0, std::memcmp(ref.data().flat().data(), got.data().flat().data(),
+                               got.data().flat().size() * sizeof(double)))
+          << what;
+      if (nt == 2) t_two = letkf.timings();
     }
   };
 
@@ -789,18 +842,18 @@ TEST(Letkf, ObservationSpaceMatchesEnsembleSpaceOracle) {
     run("rank-deficient", global, twin, h, obs(p), r, {});
   }
 
-  // Real localization on a strided two-level network: pl ranges over 6..11,
+  // Real localization on a strided two-level network: pl ranges over 6..13,
   // so one analysis mixes observation- and ensemble-space groups.
   LetkfConfig local;
   local.nx = 11;
-  local.ny = 11;
+  local.ny = 13;
   local.n_levels = 2;
   local.domain_m = 4.0e6;
   local.cutoff_m = 1.5e6;
   local.rtps = 0.0;
-  const SubsampleObs hs = SubsampleObs::strided_grid(11, 11, 2, 3);
+  const SubsampleObs hs = SubsampleObs::strided_grid(11, 13, 2, 3);
   std::size_t pl_min = SIZE_MAX, pl_max = 0;
-  for (std::size_t g = 0; g < 11 * 11 * 2; ++g) {
+  for (std::size_t g = 0; g < 11 * 13 * 2; ++g) {
     const std::size_t pl = local_obs(local, *hs.locations(), g).size();
     pl_min = std::min(pl_min, pl);
     pl_max = std::max(pl_max, pl);
@@ -808,10 +861,14 @@ TEST(Letkf, ObservationSpaceMatchesEnsembleSpaceOracle) {
   ASSERT_LT(pl_min, m);
   ASSERT_GT(pl_max, m);
   Rng lrng(33);
-  const Ensemble lprior = make_gaussian_ensemble(m, 11 * 11 * 2, lrng);
+  const Ensemble lprior = make_gaussian_ensemble(m, 11 * 13 * 2, lrng);
   std::vector<double> ys(hs.obs_dim());
   lrng.fill_gaussian(ys, 0.0, 1.0);
   run("localized", local, lprior, hs, ys, DiagonalR(hs.obs_dim(), 0.5), {});
+  // Repacking is required of this network, which mixes both solve spaces.
+  // Some global cases above pack alike at 1 and 2 threads (pl = 1 is a
+  // single group).
+  expect_repacked(t_one, t_two, "localized threads=2");
 }
 
 TEST(Ensf, RecoversPosteriorForScalarGaussian) {
