@@ -1,5 +1,6 @@
-// SQG forecast hot-path bench: times the real-FFT pair, the spectral
-// tendency, and the full RK4 step at n = 64/128/256 across thread counts,
+// SQG forecast hot-path bench: times the real-FFT pairs (full layout, packed
+// half spectrum, and the pruned kcut = n/3 pair the tendency runs), the
+// spectral tendency, and the full RK4 step at n = 64/128/256 across thread counts,
 // plus the ensemble forecast (the paper's throughput axis) in both the
 // member-parallel per-member and the block-batched (step_batch) form.
 // Reports the active FFT SIMD dispatch level (scalar / avx2 / avx2fma) and
@@ -61,7 +62,8 @@ struct Result {
   std::size_t n = 0;
   std::size_t threads = 0;
   double fft_pair_ms = 0.0;  // full Hermitian-redundant layout (legacy)
-  double fft_half_ms = 0.0;  // packed half-spectrum layout (the hot path)
+  double fft_half_ms = 0.0;    // packed half-spectrum layout, unpruned
+  double fft_pruned_ms = 0.0;  // pruned at the dealias cut kcut = n/3 (the hot path)
   double tendency_ms = 0.0;
   double step_ms = 0.0;
   double ens_ms = 0.0;        // per-member forecasts fanned over the pool
@@ -134,8 +136,9 @@ int main(int argc, char** argv) {
       res.n = n;
       res.threads = nt;
 
-      // Real-FFT pair on one level: legacy full Hermitian-redundant layout vs
-      // the packed half-spectrum pipeline the solver now runs on.
+      // Real-FFT pair on one level: legacy full Hermitian-redundant layout,
+      // the packed half spectrum, and the pruned half-spectrum pair at the
+      // 2/3 dealias cut — the transform the tendency actually runs.
       fft::Fft2D fft(n, n);
       fft.set_max_threads(nt);
       std::vector<double> grid(theta.begin(), theta.begin() + static_cast<long>(nn));
@@ -148,6 +151,10 @@ int main(int argc, char** argv) {
       res.fft_half_ms = best_ms(reps, fft_iters, [&] {
         fft.forward_half(grid, hspec);
         fft.inverse_half(hspec, grid);
+      });
+      res.fft_pruned_ms = best_ms(reps, fft_iters, [&] {
+        fft.forward_half_pruned(grid, hspec, n / 3);
+        fft.inverse_half_pruned(hspec, grid, n / 3);
       });
 
       // Spectral tendency (the RK4 inner kernel).
@@ -204,11 +211,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  io::Table t({"n", "threads", "fft pair [ms]", "half pair [ms]", "tendency [ms]",
+  io::Table t({"n", "threads", "fft pair [ms]", "half pair [ms]", "pruned pair [ms]",
+               "tendency [ms]",
                "RK4 step [ms]", "ens fcst [ms]", "ens batch [ms]", "bitwise == t1"});
   for (const auto& r : results) {
     t.add_row({std::to_string(r.n), std::to_string(r.threads), io::Table::num(r.fft_pair_ms, 3),
-               io::Table::num(r.fft_half_ms, 3), io::Table::num(r.tendency_ms, 3),
+               io::Table::num(r.fft_half_ms, 3), io::Table::num(r.fft_pruned_ms, 3),
+               io::Table::num(r.tendency_ms, 3),
                io::Table::num(r.step_ms, 3), io::Table::num(r.ens_ms, 3),
                io::Table::num(r.ens_batch_ms, 3), r.bitwise ? "yes" : "NO"});
   }
@@ -231,6 +240,7 @@ int main(int argc, char** argv) {
     js << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
        << ", \"hw_threads\": " << hw << ", \"simd\": \"" << simd << "\""
        << ", \"fft_pair_ms\": " << r.fft_pair_ms << ", \"fft_half_pair_ms\": " << r.fft_half_ms
+       << ", \"fft_pruned_pair_ms\": " << r.fft_pruned_ms
        << ", \"tendency_ms\": " << r.tendency_ms
        << ", \"rk4_step_ms\": " << r.step_ms << ", \"ens_forecast_ms\": " << r.ens_ms
        << ", \"ens_batch_forecast_ms\": " << r.ens_batch_ms

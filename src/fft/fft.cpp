@@ -39,25 +39,19 @@ Fft1D::Fft1D(std::size_t n) : n_(n) {
   }
 }
 
-void Fft1D::general_stages(double* d, bool inverse, const FftKernels& kr) const {
+template <class Radix4, class Radix2>
+void Fft1D::general_stages(bool inverse, Radix4&& radix4, Radix2&& radix2) const {
   const auto& stages = inverse ? stage_inv_ : stage_fwd_;
+  const auto table = [&](int s) {
+    return reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
+  };
   int s = 3;
   // Fused radix-2^2 pairs: one pass performs stages s and s+1 back to back
   // on each 2^(s+1)-point block, with the exact same per-element arithmetic
   // (and thus bitwise results) as two separate passes.
-  for (; s + 1 <= log2n_; s += 2) {
-    const std::size_t half = std::size_t{1} << (s - 1);  // half of stage s
-    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-    const double* tw1 =
-        reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s) + 1].data());
-    kr.pass_radix4(d, n_, half, tw, tw1);
-  }
+  for (; s + 1 <= log2n_; s += 2) radix4(std::size_t{1} << (s - 1), table(s), table(s + 1));
   // Odd stage count: one remaining plain radix-2 pass.
-  if (s <= log2n_) {
-    const std::size_t half = std::size_t{1} << (s - 1);
-    const double* tw = reinterpret_cast<const double*>(stages[static_cast<std::size_t>(s)].data());
-    kr.pass_radix2(d, n_, half, tw);
-  }
+  if (s <= log2n_) radix2(std::size_t{1} << (s - 1), table(s));
 }
 
 void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
@@ -84,87 +78,33 @@ void Fft1D::transform(std::span<Cplx> x, bool inverse) const {
   } else {
     kr.pass_first(d, 2 * n_, inverse ? 1.0 : -1.0);
   }
-  general_stages(d, inverse, kr);
+  general_stages(
+      inverse,
+      [&](std::size_t half, const double* tw, const double* tw1) {
+        kr.pass_radix4(d, n_, half, tw, tw1);
+      },
+      [&](std::size_t half, const double* tw) { kr.pass_radix2(d, n_, half, tw); });
   if (inverse) {
     const double scale = 1.0 / static_cast<double>(n_);
     for (auto& v : x) v *= scale;
   }
 }
 
-namespace {
-
-/// Tail of the banded first-pass block butterfly, shared by all zero-pattern
-/// cases: combines the stage-2 results (a0, a1) and (a2, a3) into the block.
-inline void banded_block_combine(double* p, double isign, double a0r, double a0i, double a1r,
-                                 double a1i, double a2r, double a2i, double a3r, double a3i) {
-  const double b3r = -isign * a3i, b3i = isign * a3r;  // (-+i) * a3
-  p[0] = a0r + a2r;
-  p[1] = a0i + a2i;
-  p[4] = a0r - a2r;
-  p[5] = a0i - a2i;
-  p[2] = a1r + b3r;
-  p[3] = a1i + b3i;
-  p[6] = a1r - b3r;
-  p[7] = a1i - b3i;
-}
-
-}  // namespace
-
-void Fft1D::transform_banded(std::span<Cplx> x, bool inverse, std::size_t band) const {
-  // The band only thins the first fused pass; for tiny transforms, a band
-  // that covers every index, or one too narrow for the case split below,
-  // the dense path does the same work on the in-memory zeros.
-  if (n_ < 16 || band >= n_ / 2 || band < n_ / 4) {
-    transform(x, inverse);
-    return;
-  }
-  TURBDA_REQUIRE(x.size() == n_, "FFT input length " << x.size() << " != plan length " << n_);
-  double* d = reinterpret_cast<double*>(x.data());
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  // First fused pass (stages len 2 and 4), input-band-pruned. After the
-  // bit-reversal, the block at positions [4q, 4q+4) holds the original
-  // indices o0, o0 + n/2, o0 + n/4, o0 + 3n/4 with o0 = bitrev[4q] < n/4.
-  // For a wrapped band with n/4 <= band < n/2, o0 and o0 + 3n/4 are always
-  // inside it, while o0 + n/2 is zero iff o0 < n/2 - band and o0 + n/4 is
-  // zero iff o0 > band - n/4 — three contiguous o0 ranges, so iterating o0
-  // ascending (block address 2 * bitrev[o0]; the whole pass is n complex
-  // and L1-resident) turns the case split into three branch-free loops
-  // whose zero-operand stage-2 butterflies collapse to copies/negates.
-  const double isign = inverse ? 1.0 : -1.0;
-  const std::size_t quarter = n_ / 4;
-  const std::size_t z2_from = band - quarter + 1;  // first o0 with z2 == 0
-  const std::size_t z1_until = n_ / 2 - band;      // first o0 with z1 != 0
-  // o0 in [0, min(z2_from, z1_until)): z1 zero, z2 live.
-  for (std::size_t o0 = 0; o0 < std::min(z2_from, z1_until); ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0], p[1], p[0], p[1], p[4] + p[6], p[5] + p[7], p[4] - p[6],
-                         p[5] - p[7]);
-  }
-  // o0 in [z2_from, z1_until): z1 and z2 both zero (band < 3n/8).
-  for (std::size_t o0 = z2_from; o0 < z1_until; ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0], p[1], p[0], p[1], p[6], p[7], -p[6], -p[7]);
-  }
-  // o0 in [z1_until, z2_from): z1 and z2 both live (band > 3n/8): dense.
-  for (std::size_t o0 = z1_until; o0 < z2_from; ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0] + p[2], p[1] + p[3], p[0] - p[2], p[1] - p[3],
-                         p[4] + p[6], p[5] + p[7], p[4] - p[6], p[5] - p[7]);
-  }
-  // o0 in [max(z2_from, z1_until), n/4): z1 live, z2 zero.
-  for (std::size_t o0 = std::max(z2_from, z1_until); o0 < quarter; ++o0) {
-    double* p = d + 2 * bitrev_[o0];
-    banded_block_combine(p, isign, p[0] + p[2], p[1] + p[3], p[0] - p[2], p[1] - p[3], p[6], p[7],
-                         -p[6], -p[7]);
-  }
-  general_stages(d, inverse, active_kernels());
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n_);
-    for (auto& v : x) v *= scale;
-  }
+void Fft1D::transform_columns(Cplx* rows, std::size_t ld, std::size_t width, bool inverse) const {
+  TURBDA_REQUIRE(width % 2 == 0 && width <= ld,
+                 "column transform width " << width << " must be even and <= stride " << ld);
+  if (n_ == 1 || width == 0) return;
+  double* d = reinterpret_cast<double*>(rows);
+  const std::size_t ld2 = 2 * ld, w2 = 2 * width;
+  const FftKernels& kr = active_kernels();
+  kr.col_first(d, ld2, n_, w2, inverse ? 1.0 : -1.0);
+  general_stages(
+      inverse,
+      [&](std::size_t half, const double* tw, const double* tw1) {
+        kr.col_radix4(d, ld2, n_, w2, half, tw, tw1);
+      },
+      [&](std::size_t half, const double* tw) { kr.col_radix2(d, ld2, n_, w2, half, tw); });
+  if (inverse) kr.col_scale(d, ld2, n_, w2, 1.0 / static_cast<double>(n_));
 }
 
 // ---------------------------------------------------------------------------
@@ -235,45 +175,33 @@ void Rfft1D::inverse(std::span<const Cplx> spec, std::span<double> x) const {
 }
 
 // ---------------------------------------------------------------------------
-// Fft2D — rows, cache-blocked transpose, batched contiguous column
-// transforms, transpose back. Scratch is per-thread and grown on demand, so
+// Fft2D — a row step and a column pass over one row-major scratch block. The
+// row step places each row at its bit-reversed position (the forward r2c
+// writes row i into scratch row bitrev(i); the inverse gathers source row
+// bitrev(i) into scratch row i), so the column transforms' input permutation
+// costs nothing, and the column pass then runs every stage down the columns
+// in place — no transposes. Scratch is per-thread and grown on demand, so
 // plans stay immutable and shareable across threads.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr std::size_t kTransposeBlock = 32;  // 16 KiB src + 16 KiB dst tiles
+/// Scratch row stride for `cols` columns: the column pass holds two columns
+/// per vector, so odd widths get one padding column.
+std::size_t scratch_ld(std::size_t cols) { return cols + (cols & 1); }
 
-/// Transposes `src` (r x c, row stride `ls`) into `dst` (c x r, row stride
-/// `lds`).
-void transpose_blocked(const Cplx* src, std::size_t ls, Cplx* dst, std::size_t lds, std::size_t r,
-                       std::size_t c) {
-  for (std::size_t i0 = 0; i0 < r; i0 += kTransposeBlock) {
-    const std::size_t i1 = std::min(r, i0 + kTransposeBlock);
-    for (std::size_t j0 = 0; j0 < c; j0 += kTransposeBlock) {
-      const std::size_t j1 = std::min(c, j0 + kTransposeBlock);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j) dst[j * lds + i] = src[i * ls + j];
-    }
-  }
-}
-
-/// Dense (c x r) destination convenience overload.
-void transpose_blocked(const Cplx* src, std::size_t ls, Cplx* dst, std::size_t r, std::size_t c) {
-  transpose_blocked(src, ls, dst, r, r, c);
-}
-
-bool all_zero(const Cplx* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (p[i].real() != 0.0 || p[i].imag() != 0.0) return false;
-  return true;
+/// The per-thread scratch arena (one live block per 2-D transform).
+Cplx* tls_scratch(std::size_t n) {
+  thread_local std::vector<Cplx> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 /// Runs fn(begin, end) over [0, n): inline when serial — skipping the
 /// std::function round trip of parallel_for on the default single-thread
 /// path — and fanned out over the pool otherwise. Fan-out is bitwise
-/// partition-invariant for all callers here: rows are disjoint and each
-/// row's result depends only on its own data.
+/// partition-invariant for all callers here: rows and column vectors are
+/// disjoint and each one's result depends only on its own data.
 template <class F>
 void run_partitioned(std::size_t n, std::size_t min_grain, std::size_t max_par, F&& fn) {
   if (max_par == 1) {
@@ -283,66 +211,90 @@ void run_partitioned(std::size_t n, std::size_t min_grain, std::size_t max_par, 
   }
 }
 
-/// Transforms `count` contiguous rows of length `len`, skipping all-zero rows
-/// (a transform of zeros is zeros; the SQG tendency inverts dealiased spectra
-/// whose outer third of rows vanishes identically). When `band` < len/2 the
-/// caller guarantees every row is nonzero only on the wrapped index band
-/// (j <= band or j >= len - band) and the input-pruned banded transform is
-/// used; pass band >= len/2 (e.g. len) for dense rows.
-void batch_transform(Cplx* data, std::size_t count, std::size_t len, const Fft1D& plan,
-                     bool inverse, std::size_t max_par, std::size_t band) {
-  if (count * len < 2048) max_par = 1;  // fork/join would dominate
-  run_partitioned(count, /*min_grain=*/4, max_par, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* row = data + i * len;
-      if (all_zero(row, len)) continue;
-      std::span<Cplx> s(row, len);
-      if (inverse) {
-        plan.inverse_banded(s, band);
-      } else {
-        plan.forward_banded(s, band);
-      }
-    }
-  });
-}
-
-void batch_transform(Cplx* data, std::size_t count, std::size_t len, const Fft1D& plan,
-                     bool inverse, std::size_t max_par) {
-  batch_transform(data, count, len, plan, inverse, max_par, /*band=*/len);
-}
-
-/// Two per-thread scratch arenas (a 2-D transform needs at most two live
-/// buffers). References stay valid across nested use because the slots are
-/// distinct vectors.
-std::vector<Cplx>& tls_buffer(int slot, std::size_t n) {
-  thread_local std::vector<Cplx> bufs[2];
-  auto& b = bufs[slot];
-  if (b.size() < n) b.resize(n);
-  return b;
-}
-
 }  // namespace
 
 Fft2D::Fft2D(std::size_t n0, std::size_t n1) : n0_(n0), n1_(n1), row_(n1), col_(n0) {
   if (n1_ >= 2) rrow_.emplace(n1_);
 }
 
-void Fft2D::transform2d(std::span<Cplx> x, bool inverse) const {
-  batch_transform(x.data(), n0_, n1_, row_, inverse, threads_);
-  auto& t = tls_buffer(0, n0_ * n1_);
-  transpose_blocked(x.data(), n1_, t.data(), n0_, n1_);
-  batch_transform(t.data(), n1_, n0_, col_, inverse, threads_);
-  transpose_blocked(t.data(), n0_, x.data(), n1_, n0_);
+void Fft2D::column_pass(Cplx* rows, std::size_t ld, std::size_t width, bool inverse) const {
+  const std::size_t pairs = width / 2;
+  const std::size_t max_par = n0_ * width < 2048 ? 1 : threads_;  // fork/join would dominate
+  run_partitioned(pairs, /*min_grain=*/2, max_par, [&](std::size_t b, std::size_t e) {
+    col_.transform_columns(rows + 2 * b, ld, 2 * (e - b), inverse);
+  });
+}
+
+const Cplx* Fft2D::transform2d(const Cplx* src, bool inverse) const {
+  const std::size_t ld = scratch_ld(n1_);
+  Cplx* s = tls_scratch(n0_ * ld);
+  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      Cplx* row = s + i * ld;
+      const Cplx* in = src + col_.bitrev(i) * n1_;
+      std::copy(in, in + n1_, row);
+      std::fill(row + n1_, row + ld, Cplx(0.0, 0.0));
+      if (inverse) {
+        row_.inverse(std::span<Cplx>(row, n1_));
+      } else {
+        row_.forward(std::span<Cplx>(row, n1_));
+      }
+    }
+  });
+  column_pass(s, ld, ld, inverse);
+  return s;
 }
 
 void Fft2D::forward(std::span<Cplx> x) const {
   TURBDA_REQUIRE(x.size() == n0_ * n1_, "Fft2D::forward: wrong buffer size");
-  transform2d(x, /*inverse=*/false);
+  const Cplx* s = transform2d(x.data(), /*inverse=*/false);
+  const std::size_t ld = scratch_ld(n1_);
+  for (std::size_t i = 0; i < n0_; ++i) std::copy(s + i * ld, s + i * ld + n1_, &x[i * n1_]);
 }
 
 void Fft2D::inverse(std::span<Cplx> x) const {
   TURBDA_REQUIRE(x.size() == n0_ * n1_, "Fft2D::inverse: wrong buffer size");
-  transform2d(x, /*inverse=*/true);
+  const Cplx* s = transform2d(x.data(), /*inverse=*/true);
+  const std::size_t ld = scratch_ld(n1_);
+  for (std::size_t i = 0; i < n0_; ++i) std::copy(s + i * ld, s + i * ld + n1_, &x[i * n1_]);
+}
+
+const Cplx* Fft2D::real_forward_rows(std::span<const double> grid, std::size_t cols) const {
+  const std::size_t nh = half_cols();
+  const std::size_t ld = scratch_ld(nh);
+  Cplx* s = tls_scratch(n0_ * ld);
+  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      Cplx* row = s + col_.bitrev(i) * ld;
+      rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(row, nh));
+      // The padding column rides through the column pass: keep it finite.
+      std::fill(row + nh, row + ld, Cplx(0.0, 0.0));
+    }
+  });
+  column_pass(s, ld, scratch_ld(cols), /*inverse=*/false);
+  return s;
+}
+
+void Fft2D::real_inverse_rows(const Cplx* spec, std::size_t spec_ld, std::size_t cols,
+                              std::span<double> grid) const {
+  const std::size_t nh = half_cols();
+  const std::size_t ld = scratch_ld(nh);
+  const std::size_t width = scratch_ld(cols);
+  Cplx* s = tls_scratch(n0_ * ld);
+  for (std::size_t i = 0; i < n0_; ++i) {  // a plain copy: not worth a fork/join
+    const Cplx* in = spec + col_.bitrev(i) * spec_ld;
+    Cplx* row = s + i * ld;
+    std::copy(in, in + cols, row);
+    std::fill(row + cols, row + width, Cplx(0.0, 0.0));
+  }
+  column_pass(s, ld, width, /*inverse=*/true);
+  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      Cplx* row = s + i * ld;
+      std::fill(row + cols, row + nh, Cplx(0.0, 0.0));  // truncated bins are exact zeros
+      rrow_->inverse_inplace(std::span<Cplx>(row, nh), grid.subspan(i * n1_, n1_));
+    }
+  });
 }
 
 void Fft2D::forward_real(std::span<const double> grid, std::span<Cplx> spec) const {
@@ -351,30 +303,20 @@ void Fft2D::forward_real(std::span<const double> grid, std::span<Cplx> spec) con
                  "forward_real: wrong buffer sizes");
   if (!rrow_) {  // n1 == 1: nothing to halve along rows
     for (std::size_t i = 0; i < grid.size(); ++i) spec[i] = Cplx(grid[i], 0.0);
-    transform2d(spec, /*inverse=*/false);
+    forward(spec);
     return;
   }
-  const std::size_t nh = n1_ / 2 + 1;
-  auto& hbuf = tls_buffer(0, n0_ * nh);  // half-spectrum rows, n0 x nh
-  auto& tbuf = tls_buffer(1, nh * n0_);  // transposed, nh x n0
-
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
-  });
-
-  transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, nh);
-  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/false, threads_);
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, n0_);
-
+  const std::size_t nh = half_cols();
+  const std::size_t ld = scratch_ld(nh);
+  const Cplx* h = real_forward_rows(grid, nh);
   // Expand the half spectrum to the full Hermitian-redundant layout:
   // spec[i][j] = conj(spec[(n0-i) mod n0][n1-j]) for the mirrored columns.
   run_partitioned(n0_, /*min_grain=*/8, threads_, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      const Cplx* hrow = hbuf.data() + i * nh;
+      const Cplx* hrow = h + i * ld;
       Cplx* srow = spec.data() + i * n1_;
       std::copy(hrow, hrow + nh, srow);
-      const Cplx* mrow = hbuf.data() + ((n0_ - i) % n0_) * nh;
+      const Cplx* mrow = h + ((n0_ - i) % n0_) * ld;
       for (std::size_t j = nh; j < n1_; ++j) srow[j] = std::conj(mrow[n1_ - j]);
     }
   });
@@ -385,32 +327,19 @@ void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) con
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && spec.size() == n0_ * n1_,
                  "inverse_real: wrong buffer sizes");
   if (!rrow_) {
-    auto& tmp = tls_buffer(1, n0_ * n1_);
-    std::copy(spec.begin(), spec.end(), tmp.begin());
-    transform2d(std::span<Cplx>(tmp.data(), n0_ * n1_), /*inverse=*/true);
-    for (std::size_t i = 0; i < grid.size(); ++i) grid[i] = tmp[i].real();
+    const Cplx* s = transform2d(spec.data(), /*inverse=*/true);
+    for (std::size_t i = 0; i < n0_; ++i) grid[i] = s[i * scratch_ld(1)].real();
     return;
   }
-  const std::size_t nh = n1_ / 2 + 1;
-  auto& tbuf = tls_buffer(1, nh * n0_);
-  // Gather the non-redundant columns 0..n1/2 directly into transposed layout.
-  transpose_blocked(spec.data(), n1_, tbuf.data(), n0_, nh);
-  batch_transform(tbuf.data(), nh, n0_, col_, /*inverse=*/true, threads_);
-  auto& hbuf = tls_buffer(0, n0_ * nh);
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, n0_);
-
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh),
-                             grid.subspan(i * n1_, n1_));
-  });
+  // Only the non-redundant columns 0..n1/2 are read.
+  real_inverse_rows(spec.data(), n1_, half_cols(), grid);
 }
 
 // ---------------------------------------------------------------------------
-// Packed half-spectrum transforms: rows r2c -> transpose -> column FFTs over
-// the first min(kcut, n1/2) + 1 columns only -> transpose back. The pruned
-// forward masks |my| > kcut rows for free while writing the packed output;
-// the pruned inverse never touches the column transforms of truncated bins.
+// Packed half-spectrum transforms: the column pass runs over the first
+// min(kcut, n1/2) + 1 columns only. The pruned forward masks |my| > kcut
+// rows for free while writing the packed output; the pruned inverse feeds
+// the truncated mx > kcut bins to the rows as exact zeros.
 // ---------------------------------------------------------------------------
 
 void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
@@ -421,20 +350,10 @@ void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspe
                  "forward_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
   const std::size_t nh = half_cols();
+  const std::size_t ld = scratch_ld(nh);
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
   const long rowcut = static_cast<long>(std::min(kcut, n0_ / 2));
-
-  auto& hbuf = tls_buffer(0, n0_ * nh);
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(hbuf.data() + i * nh, nh));
-  });
-
-  auto& tbuf = tls_buffer(1, cols * n0_);
-  transpose_blocked(hbuf.data(), nh, tbuf.data(), n0_, cols);
-  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/false, threads_);
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), cols, n0_);  // hbuf: dense n0 x cols
-
+  const Cplx* h = real_forward_rows(grid, cols);
   run_partitioned(n0_, /*min_grain=*/8, threads_, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       Cplx* out = hspec.data() + i * nh;
@@ -444,7 +363,7 @@ void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspe
         std::fill(out, out + nh, Cplx(0.0, 0.0));
         continue;
       }
-      const Cplx* src = hbuf.data() + i * cols;
+      const Cplx* src = h + i * ld;
       std::copy(src, src + cols, out);
       std::fill(out + cols, out + nh, Cplx(0.0, 0.0));
     }
@@ -458,41 +377,19 @@ void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> gri
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && hspec.size() == half_size(),
                  "inverse_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
-  const std::size_t nh = half_cols();
-  const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
-
-  auto& tbuf = tls_buffer(1, cols * n0_);
-  transpose_blocked(hspec.data(), nh, tbuf.data(), n0_, cols);
-  // Within each retained column only the 2*kcut+1 low-|my| rows are nonzero
-  // (wrapped band); the banded transform prunes the first butterfly stages
-  // on that band. Degrades to the dense transform when kcut covers n0/2.
-  batch_transform(tbuf.data(), cols, n0_, col_, /*inverse=*/true, threads_,
-                  /*band=*/std::min(kcut, n0_ / 2));
-
-  auto& hbuf = tls_buffer(0, n0_ * nh);
-  if (cols < nh) {  // truncated tail bins are identically zero
-    for (std::size_t i = 0; i < n0_; ++i)
-      std::fill(hbuf.data() + i * nh + cols, hbuf.data() + (i + 1) * nh, Cplx(0.0, 0.0));
-  }
-  transpose_blocked(tbuf.data(), n0_, hbuf.data(), nh, cols, n0_);
-
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      rrow_->inverse_inplace(std::span<Cplx>(hbuf.data() + i * nh, nh),
-                             grid.subspan(i * n1_, n1_));
-  });
+  real_inverse_rows(hspec.data(), half_cols(), std::min(kcut, n1_ / 2) + 1, grid);
 }
 
 // ---------------------------------------------------------------------------
 // Batched pruned half-spectrum transforms: one pool fan-out over the whole
 // batch, each worker running complete per-field transforms. Field-granular
 // dispatch deliberately preserves the single-field cache pipeline — a
-// field's rows, transposes and columns stay hot in that worker's scratch
-// across the stages (a fused per-stage sweep over all fields was measured
-// ~8% slower serially at n=128: it streams the whole batch between stages).
-// Serially this is exactly `count` single-field calls; threaded, the grain
-// is whole fields instead of row ranges, and the nested per-field fan-out
-// degrades gracefully to serial inside workers.
+// field's row step and column pass stay hot in that worker's scratch (a
+// fused per-stage sweep over all fields was measured ~8% slower serially at
+// n=128: it streams the whole batch between stages). Serially this is
+// exactly `count` single-field calls; threaded, the grain is whole fields
+// instead of row ranges, and the nested per-field fan-out degrades
+// gracefully to serial inside workers.
 // ---------------------------------------------------------------------------
 
 void Fft2D::forward_half_pruned_batch(std::span<const double* const> grids,

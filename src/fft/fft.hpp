@@ -5,12 +5,17 @@
 // 64, 128, 256). Real grids go through a half-spectrum real transform
 // (Rfft1D): an n-point r2c/c2r costs one n/2-point complex FFT plus an O(n)
 // Hermitian (un)packing pass — half the flops and memory traffic of the
-// complex round trip. 2-D transforms run rows, a cache-blocked transpose,
-// batched contiguous "column" transforms, and a transpose back; the row and
-// column batches are disjoint, so they optionally fan out over the process
-// thread pool with bitwise thread-count-invariant results. Convention
-// matches numpy: forward unnormalized, inverse carries the 1/N factor — so
-// does the sqgturb reference implementation the paper follows.
+// complex round trip. 2-D transforms never transpose: the row step writes
+// (forward) or gathers (inverse) each row at its bit-reversed position in a
+// row-major scratch block, and one column pass then runs every butterfly
+// stage down the columns in place, two columns per SIMD vector with one
+// broadcast twiddle per row pair. Each element sees exactly the arithmetic of
+// the 1-D transform of its column, so the result is bitwise that of a
+// transpose + per-column Fft1D. Rows and column vectors are disjoint, so both
+// steps optionally fan out over the process thread pool with bitwise
+// thread-count-invariant results. Convention matches numpy: forward
+// unnormalized, inverse carries the 1/N factor — so does the sqgturb
+// reference implementation the paper follows.
 #pragma once
 
 #include <complex>
@@ -38,26 +43,24 @@ class Fft1D {
   /// In-place inverse DFT with 1/n normalization.
   void inverse(std::span<Cplx> x) const { transform(x, /*inverse=*/true); }
 
-  /// As forward()/inverse(), but the caller guarantees the input is nonzero
-  /// only on the wrapped index band j <= band or j >= n - band (the shape of
-  /// a dealiased |my| <= kcut spectral column). The first fused butterfly
-  /// pass skips the arithmetic the band proves trivial; later stages are
-  /// dense. Results match the dense transform except that skipped
-  /// zero-operand additions may flip the sign of a zero (value-identical,
-  /// 1e-12-test-enforced). band >= n/2 degrades to the dense transform.
-  void forward_banded(std::span<Cplx> x, std::size_t band) const {
-    transform_banded(x, /*inverse=*/false, band);
-  }
-  void inverse_banded(std::span<Cplx> x, std::size_t band) const {
-    transform_banded(x, /*inverse=*/true, band);
-  }
+  /// Bit-reversal permutation of this plan's length (an involution).
+  [[nodiscard]] std::size_t bitrev(std::size_t i) const { return bitrev_[i]; }
+
+  /// This plan's transform applied in place down `width` columns of a
+  /// row-major block of size() rows with row stride `ld` (both in complex
+  /// elements, width even, width <= ld). The rows must already be in
+  /// bit-reversed order — row p holds input row bitrev(p) — and come out in
+  /// natural order. Every element sees exactly the arithmetic of
+  /// forward()/inverse() on its column, so results are bitwise those of the
+  /// per-column 1-D transform at every SIMD level.
+  void transform_columns(Cplx* rows, std::size_t ld, std::size_t width, bool inverse) const;
 
  private:
   void transform(std::span<Cplx> x, bool inverse) const;
-  void transform_banded(std::span<Cplx> x, bool inverse, std::size_t band) const;
-  /// The butterfly stages shared by the dense and banded paths: fused
-  /// radix-2² pairs plus the odd remaining radix-2 stage, starting at stage 3.
-  void general_stages(double* d, bool inverse, const FftKernels& kr) const;
+  /// Walks the stages from 3 on: fused radix-2² pairs, then the odd
+  /// remaining radix-2 stage — radix4(half, tw, tw1) / radix2(half, tw).
+  template <class Radix4, class Radix2>
+  void general_stages(bool inverse, Radix4&& radix4, Radix2&& radix2) const;
 
   std::size_t n_;
   int log2n_;
@@ -109,11 +112,12 @@ class Rfft1D {
 ///    the pointwise work of the full layout.
 ///
 /// The *_pruned variants additionally exploit a square spectral truncation
-/// |mx| <= kcut, |my| <= kcut (the SQG 2/3 dealias rule): the forward computes
-/// only the retained bins and writes exact zeros elsewhere (the truncation
-/// comes for free), the inverse skips the column transforms of bins the
-/// caller guarantees are zero. Both skip roughly a third of the butterfly
-/// work at kcut = n/3.
+/// |mx| <= kcut, |my| <= kcut (the SQG 2/3 dealias rule): the column pass
+/// runs over the kcut + 1 retained columns only (rounded up to an even
+/// count), the forward writes exact zeros to the truncated bins (the
+/// truncation comes for free), and the inverse treats the bins the caller
+/// guarantees are zero as zeros. Both skip roughly a third of the column
+/// butterfly work at kcut = n/3.
 class Fft2D {
  public:
   Fft2D(std::size_t n0, std::size_t n1);
@@ -125,9 +129,10 @@ class Fft2D {
   [[nodiscard]] std::size_t half_cols() const { return n1_ / 2 + 1; }
   [[nodiscard]] std::size_t half_size() const { return n0_ * half_cols(); }
 
-  /// Worker-thread cap for the row/column transform batches: 1 = serial
+  /// Worker-thread cap for the row step and the column pass: 1 = serial
   /// (default), 0 = all pool workers. Any value yields bitwise-identical
-  /// results (disjoint rows; per-row work is partition-invariant).
+  /// results (disjoint rows and column vectors; per-element work is
+  /// partition-invariant).
   void set_max_threads(std::size_t max_threads) { threads_ = max_threads; }
   [[nodiscard]] std::size_t max_threads() const { return threads_; }
 
@@ -153,36 +158,53 @@ class Fft2D {
   void inverse_half(std::span<const Cplx> hspec, std::span<double> grid) const;
 
   /// As forward_half, but computes only the bins with |mx| <= kcut and
-  /// |my| <= kcut and writes exact zeros to the rest — the column transforms
-  /// of the truncated bins are skipped entirely.
+  /// |my| <= kcut and writes exact zeros to the rest — the column pass
+  /// skips the truncated mx > kcut columns entirely.
   void forward_half_pruned(std::span<const double> grid, std::span<Cplx> hspec,
                            std::size_t kcut) const;
 
-  /// As inverse_half, but skips the column transforms for mx > kcut and
-  /// runs the retained columns through the input-band-pruned 1-D transform.
-  /// The caller must guarantee hspec is zero outside the |mx| <= kcut,
+  /// As inverse_half, but the column pass runs over the mx <= kcut columns
+  /// only and the mx > kcut bins enter the row c2r as exact zeros. The
+  /// caller must guarantee hspec is zero outside the |mx| <= kcut,
   /// |my| <= kcut square (e.g. a spectrum produced by forward_half_pruned,
-  /// scaled pointwise) — the truncated columns are skipped entirely and the
-  /// |my| > kcut rows feed the banded first butterfly pass as proven zeros.
+  /// scaled pointwise); the |my| > kcut rows of the retained columns are
+  /// transformed as they are.
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 
   /// Batched pruned half-spectrum transforms: the transform above applied to
   /// `grids.size()` independent field pairs through a single pool fan-out,
   /// each worker running complete per-field transforms (field-granular
-  /// dispatch keeps every field's stages hot in its worker's scratch — see
-  /// the implementation note). This is the ensemble-block shape: the SQG
-  /// batched member step funnels every member's derivative fields through
-  /// one call. Each pointer addresses a full n0*n1 real grid / half_size()
-  /// spectrum; per-field results are bitwise identical to the corresponding
-  /// single-field call for any thread count.
+  /// dispatch keeps every field's row step and column pass hot in its
+  /// worker's scratch — see the implementation note). This is the
+  /// ensemble-block shape: the SQG batched member step funnels every
+  /// member's derivative fields through one call. Each pointer addresses a
+  /// full n0*n1 real grid / half_size() spectrum; per-field results are
+  /// bitwise identical to the corresponding single-field call for any
+  /// thread count.
   void forward_half_pruned_batch(std::span<const double* const> grids,
                                  std::span<Cplx* const> hspecs, std::size_t kcut) const;
   void inverse_half_pruned_batch(std::span<const Cplx* const> hspecs,
                                  std::span<double* const> grids, std::size_t kcut) const;
 
  private:
-  void transform2d(std::span<Cplx> x, bool inverse) const;
+  /// Complex 2-D transform of the row-major n0 x n1 array `src` into the
+  /// per-thread scratch (row stride scratch_ld(n1)), which it returns.
+  const Cplx* transform2d(const Cplx* src, bool inverse) const;
+  /// Rows r2c into the per-thread scratch (bit-reversed row order, row
+  /// stride scratch_ld(half_cols())), then the forward column pass over the
+  /// first `cols` columns. Returns the scratch, n0 x half_cols() in natural
+  /// order; only the first `cols` columns are transformed.
+  const Cplx* real_forward_rows(std::span<const double> grid, std::size_t cols) const;
+  /// Gathers columns [0, cols) of the half spectrum `spec` (row stride
+  /// `spec_ld`) into the scratch in bit-reversed row order, runs the inverse
+  /// column pass, zeroes columns [cols, half_cols()) and runs the rows c2r
+  /// into `grid`.
+  void real_inverse_rows(const Cplx* spec, std::size_t spec_ld, std::size_t cols,
+                         std::span<double> grid) const;
+  /// Column transforms over columns [0, width) of a scratch block (row
+  /// stride ld, width even), column vectors split across the thread cap.
+  void column_pass(Cplx* rows, std::size_t ld, std::size_t width, bool inverse) const;
   void half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
                          std::size_t kcut) const;
   void half_inverse_impl(std::span<const Cplx> hspec, std::span<double> grid,

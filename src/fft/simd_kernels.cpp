@@ -16,8 +16,10 @@ namespace {
 using simd::VecScalar;
 
 constexpr FftKernels kScalarKernels = {
-    detail::pass_first_impl<VecScalar>, detail::pass_radix4_impl<VecScalar, false>,
-    detail::pass_radix2_impl<VecScalar, false>, detail::rfft_pack_impl<VecScalar, false>,
+    detail::pass_first_impl<VecScalar>,         detail::pass_radix4_impl<VecScalar, false>,
+    detail::pass_radix2_impl<VecScalar, false>, detail::col_first_impl<VecScalar>,
+    detail::col_radix4_impl<VecScalar, false>,  detail::col_radix2_impl<VecScalar, false>,
+    detail::col_scale_impl<VecScalar>,          detail::rfft_pack_impl<VecScalar, false>,
     detail::rfft_unpack_impl<VecScalar, false>};
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD micro-kernels for the FFT hot loops.
 //
 // The radix-2² fused butterfly passes, the final odd radix-2 pass, the fused
-// length-2/4 first stage and the Rfft1D Hermitian pack/unpack sweeps all run
+// length-2/4 first stage (each also as a column pass over a row-major block,
+// plus the inverse scale) and the Rfft1D Hermitian pack/unpack sweeps all run
 // on raw interleaved (re, im) doubles — exactly the loop shape an AVX2 lane
 // pair wants. Each loop is written once against the portable simd::Vec API
 // (simd_kernels_impl.hpp) and instantiated per backend behind one table of
@@ -36,6 +37,17 @@ struct FftKernels {
                       const double* tw1);
   /// Single radix-2 pass (the odd remaining stage); half >= 4 and even.
   void (*pass_radix2)(double* d, std::size_t n, std::size_t half, const double* tw);
+  /// Column passes: the three passes above and the inverse 1/n scale, run
+  /// down the columns of a row-major block of `rows` rows (row stride ld
+  /// doubles, rows in bit-reversed order) over w2 doubles per row, two
+  /// complex columns per vector (w2 a multiple of 4). Per element, the
+  /// arithmetic of the 1-D pass. col_first also covers rows == 2.
+  void (*col_first)(double* d, std::size_t ld, std::size_t rows, std::size_t w2, double isign);
+  void (*col_radix4)(double* d, std::size_t ld, std::size_t rows, std::size_t w2,
+                     std::size_t half, const double* tw, const double* tw1);
+  void (*col_radix2)(double* d, std::size_t ld, std::size_t rows, std::size_t w2,
+                     std::size_t half, const double* tw);
+  void (*col_scale)(double* d, std::size_t ld, std::size_t rows, std::size_t w2, double scale);
   /// Rfft1D forward Hermitian combine for bins k in [1, h-k): spec holds
   /// h + 1 interleaved complex bins, w the exp(-2πi k / n) twiddles.
   void (*rfft_pack)(double* spec, const double* w, std::size_t h);

@@ -26,12 +26,16 @@ extern const FftKernels kAvx2Kernels;
 extern const FftKernels kAvx2FmaKernels;
 
 const FftKernels kAvx2Kernels = {
-    detail::pass_first_impl<VecAvx2>, detail::pass_radix4_impl<VecAvx2, false>,
-    detail::pass_radix2_impl<VecAvx2, false>, detail::rfft_pack_impl<VecAvx2, false>,
+    detail::pass_first_impl<VecAvx2>,         detail::pass_radix4_impl<VecAvx2, false>,
+    detail::pass_radix2_impl<VecAvx2, false>, detail::col_first_impl<VecAvx2>,
+    detail::col_radix4_impl<VecAvx2, false>,  detail::col_radix2_impl<VecAvx2, false>,
+    detail::col_scale_impl<VecAvx2>,          detail::rfft_pack_impl<VecAvx2, false>,
     detail::rfft_unpack_impl<VecAvx2, false>};
 const FftKernels kAvx2FmaKernels = {
-    detail::pass_first_impl<VecAvx2>, detail::pass_radix4_impl<VecAvx2, true>,
-    detail::pass_radix2_impl<VecAvx2, true>, detail::rfft_pack_impl<VecAvx2, true>,
+    detail::pass_first_impl<VecAvx2>,        detail::pass_radix4_impl<VecAvx2, true>,
+    detail::pass_radix2_impl<VecAvx2, true>, detail::col_first_impl<VecAvx2>,
+    detail::col_radix4_impl<VecAvx2, true>,  detail::col_radix2_impl<VecAvx2, true>,
+    detail::col_scale_impl<VecAvx2>,         detail::rfft_pack_impl<VecAvx2, true>,
     detail::rfft_unpack_impl<VecAvx2, true>};
 
 }  // namespace turbda::fft

@@ -47,6 +47,37 @@ void pass_first_impl(double* d, std::size_t n2, double isign) {
   }
 }
 
+/// Radix-2² butterfly (stages s and s+1) on one vector of each of the four
+/// quarter blocks p0..p3: stage-s twiddle w, stage-(s+1) twiddles v0 (for
+/// p0/p2) and v1 (for p1/p3). Shared by the 1-D and column passes.
+template <class V, bool kFma>
+inline void radix4_butterfly(double* p0, double* p1, double* p2, double* p3, V w, V v0, V v1) {
+  const V a = V::loadu(p0);
+  const V b = V::loadu(p1);
+  const V c = V::loadu(p2);
+  const V e = V::loadu(p3);
+  const V tb = cmul<kFma>(w, b);
+  const V td = cmul<kFma>(w, e);
+  const V ua = a + tb, ub = a - tb;
+  const V uc = c + td, ud = c - td;
+  const V tc = cmul<kFma>(v0, uc);
+  const V te = cmul<kFma>(v1, ud);
+  (ua + tc).storeu(p0);
+  (ua - tc).storeu(p2);
+  (ub + te).storeu(p1);
+  (ub - te).storeu(p3);
+}
+
+/// Radix-2 butterfly on one vector of the low and high halves.
+template <class V, bool kFma>
+inline void radix2_butterfly(double* lo, double* hi, V w) {
+  const V h = V::loadu(hi);
+  const V u = V::loadu(lo);
+  const V t = cmul<kFma>(w, h);
+  (u + t).storeu(lo);
+  (u - t).storeu(hi);
+}
+
 /// Fused radix-2² pass (stages s and s+1); half >= 4 and even, so the
 /// two-complex-per-iteration loop has no tail.
 template <class V, bool kFma>
@@ -58,25 +89,10 @@ void pass_radix4_impl(double* d, std::size_t n, std::size_t half, const double* 
     double* p1 = p0 + 2 * half;
     double* p2 = p1 + 2 * half;
     double* p3 = p2 + 2 * half;
-    for (std::size_t k = 0; k < half; k += 2) {
-      const V w = V::loadu(tw + 2 * k);
-      const V a = V::loadu(p0 + 2 * k);
-      const V b = V::loadu(p1 + 2 * k);
-      const V c = V::loadu(p2 + 2 * k);
-      const V e = V::loadu(p3 + 2 * k);
-      const V tb = cmul<kFma>(w, b);
-      const V td = cmul<kFma>(w, e);
-      const V ua = a + tb, ub = a - tb;
-      const V uc = c + td, ud = c - td;
-      const V v0 = V::loadu(tw1 + 2 * k);
-      const V v1 = V::loadu(tw1 + 2 * (k + half));
-      const V tc = cmul<kFma>(v0, uc);
-      const V te = cmul<kFma>(v1, ud);
-      (ua + tc).storeu(p0 + 2 * k);
-      (ua - tc).storeu(p2 + 2 * k);
-      (ub + te).storeu(p1 + 2 * k);
-      (ub - te).storeu(p3 + 2 * k);
-    }
+    for (std::size_t k = 0; k < half; k += 2)
+      radix4_butterfly<V, kFma>(p0 + 2 * k, p1 + 2 * k, p2 + 2 * k, p3 + 2 * k,
+                                V::loadu(tw + 2 * k), V::loadu(tw1 + 2 * k),
+                                V::loadu(tw1 + 2 * (k + half)));
   }
 }
 
@@ -86,14 +102,95 @@ void pass_radix2_impl(double* d, std::size_t n, std::size_t half, const double* 
   for (std::size_t base = 0; base < n; base += 2 * half) {
     double* lo = d + 2 * base;
     double* hi = lo + 2 * half;
-    for (std::size_t k = 0; k < half; k += 2) {
-      const V w = V::loadu(tw + 2 * k);
-      const V h = V::loadu(hi + 2 * k);
-      const V u = V::loadu(lo + 2 * k);
-      const V t = cmul<kFma>(w, h);
-      (u + t).storeu(lo + 2 * k);
-      (u - t).storeu(hi + 2 * k);
+    for (std::size_t k = 0; k < half; k += 2)
+      radix2_butterfly<V, kFma>(lo + 2 * k, hi + 2 * k, V::loadu(tw + 2 * k));
+  }
+}
+
+// Column passes: the same stages run down the columns of a row-major block
+// of `rows` rows (row stride ld doubles, rows already in bit-reversed
+// order), over w2 doubles of each row — two complex columns per vector, w2 a
+// multiple of 4. The row index plays the 1-D element index, so a vector
+// holds one element of two adjacent column transforms, one broadcast
+// twiddle serves a whole row pair, and every element sees exactly the
+// arithmetic of the 1-D pass above.
+
+/// Stages of butterfly length 2 and 4 fused over row quadruples (the 1-D
+/// pass_first per element); rows == 2 runs the lone length-2 butterfly.
+template <class V>
+void col_first_impl(double* d, std::size_t ld, std::size_t rows, std::size_t w2, double isign) {
+  if (rows == 2) {
+    for (std::size_t c = 0; c < w2; c += 4) {
+      const V u = V::loadu(d + c);
+      const V t = V::loadu(d + ld + c);
+      (u + t).storeu(d + c);
+      (u - t).storeu(d + ld + c);
     }
+    return;
+  }
+  const V rot = V::lanes(-isign, isign, -isign, isign);
+  for (std::size_t q = 0; q < rows; q += 4) {
+    double* p0 = d + q * ld;
+    double* p1 = p0 + ld;
+    double* p2 = p1 + ld;
+    double* p3 = p2 + ld;
+    for (std::size_t c = 0; c < w2; c += 4) {
+      const V z0 = V::loadu(p0 + c);
+      const V z1 = V::loadu(p1 + c);
+      const V z2 = V::loadu(p2 + c);
+      const V z3 = V::loadu(p3 + c);
+      const V a0 = z0 + z1, a1 = z0 - z1;
+      const V a2 = z2 + z3, a3 = z2 - z3;
+      const V b3 = a3.swap_pairs() * rot;  // (-+i) * a3
+      (a0 + a2).storeu(p0 + c);
+      (a1 + b3).storeu(p1 + c);
+      (a0 - a2).storeu(p2 + c);
+      (a1 - b3).storeu(p3 + c);
+    }
+  }
+}
+
+/// Fused radix-2² pass (stages s and s+1) down the columns; any half >= 1.
+template <class V, bool kFma>
+void col_radix4_impl(double* d, std::size_t ld, std::size_t rows, std::size_t w2,
+                     std::size_t half, const double* tw, const double* tw1) {
+  for (std::size_t base = 0; base < rows; base += 4 * half) {
+    for (std::size_t k = 0; k < half; ++k) {
+      double* p0 = d + (base + k) * ld;
+      double* p1 = p0 + half * ld;
+      double* p2 = p1 + half * ld;
+      double* p3 = p2 + half * ld;
+      const V w = V::broadcast_pair(tw + 2 * k);
+      const V v0 = V::broadcast_pair(tw1 + 2 * k);
+      const V v1 = V::broadcast_pair(tw1 + 2 * (k + half));
+      for (std::size_t c = 0; c < w2; c += 4)
+        radix4_butterfly<V, kFma>(p0 + c, p1 + c, p2 + c, p3 + c, w, v0, v1);
+    }
+  }
+}
+
+/// Single radix-2 pass down the columns; any half >= 1.
+template <class V, bool kFma>
+void col_radix2_impl(double* d, std::size_t ld, std::size_t rows, std::size_t w2,
+                     std::size_t half, const double* tw) {
+  for (std::size_t base = 0; base < rows; base += 2 * half) {
+    for (std::size_t k = 0; k < half; ++k) {
+      double* lo = d + (base + k) * ld;
+      double* hi = lo + half * ld;
+      const V w = V::broadcast_pair(tw + 2 * k);
+      for (std::size_t c = 0; c < w2; c += 4) radix2_butterfly<V, kFma>(lo + c, hi + c, w);
+    }
+  }
+}
+
+/// Inverse normalization: every element of the block times `scale` (the
+/// component-wise product std::complex *= double performs).
+template <class V>
+void col_scale_impl(double* d, std::size_t ld, std::size_t rows, std::size_t w2, double scale) {
+  const V s = V::broadcast(scale);
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* p = d + r * ld;
+    for (std::size_t c = 0; c < w2; c += 4) (V::loadu(p + c) * s).storeu(p + c);
   }
 }
 

@@ -2,13 +2,13 @@
 //
 // `Vec` models a 256-bit register of four doubles with the small fixed set of
 // lane operations the FFT butterflies and the LETKF dense kernels need:
-// load/store, broadcast, +/-/*, fused and unfused multiply-add, the
-// addsub/fmaddsub family for interleaved complex pairs, in-register shuffles
-// (pair swap, even/odd duplicate, 128-bit half swap, blend), and — for the
-// lane-batched solvers — correctly-rounded / and sqrt (IEEE-exact in both
-// backends, so lane arithmetic matches the scalar spelling bitwise),
-// min/max, ordered compares producing all-ones lane masks, sign-bit select
-// and movemask.
+// load/store, broadcast (of a scalar or of one complex pair), +/-/*, fused
+// and unfused multiply-add, the addsub/fmaddsub family for interleaved
+// complex pairs, in-register shuffles (pair swap, even/odd duplicate,
+// 128-bit half swap, blend), and — for the lane-batched solvers —
+// correctly-rounded / and sqrt (IEEE-exact in both backends, so lane
+// arithmetic matches the scalar spelling bitwise), min/max, ordered compares
+// producing all-ones lane masks, sign-bit select and movemask.
 //
 // Two interchangeable backends implement that interface:
 //
@@ -56,6 +56,10 @@ struct VecScalar {
   [[nodiscard]] static VecScalar broadcast(double x) { return VecScalar{{x, x, x, x}}; }
   [[nodiscard]] static VecScalar lanes(double l0, double l1, double l2, double l3) {
     return VecScalar{{l0, l1, l2, l3}};
+  }
+  /// [p0, p1, p0, p1] — one interleaved complex number in both pair slots.
+  [[nodiscard]] static VecScalar broadcast_pair(const double* p) {
+    return VecScalar{{p[0], p[1], p[0], p[1]}};
   }
 
   friend VecScalar operator+(VecScalar a, VecScalar b) {
@@ -210,6 +214,9 @@ struct VecAvx2 {
   [[nodiscard]] static VecAvx2 broadcast(double x) { return VecAvx2{_mm256_set1_pd(x)}; }
   [[nodiscard]] static VecAvx2 lanes(double l0, double l1, double l2, double l3) {
     return VecAvx2{_mm256_set_pd(l3, l2, l1, l0)};
+  }
+  [[nodiscard]] static VecAvx2 broadcast_pair(const double* p) {
+    return VecAvx2{_mm256_broadcast_pd(reinterpret_cast<const __m128d*>(p))};
   }
 
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) { return VecAvx2{_mm256_add_pd(a.v, b.v)}; }

@@ -170,11 +170,11 @@ class SqgModel {
   /// Advance `count` member states (contiguous count x dim() block) by
   /// `nsteps` RK4 steps each. Members are processed in sub-blocks of
   /// cfg.batch_block; within a block every transform of the tendency runs
-  /// batched across the members (one fused row/column sweep, shared
-  /// twiddles and transposes — see Fft2D::*_half_pruned_batch) and the RK4
-  /// combines run over the whole block's bins in one pass. Bitwise
-  /// identical to `count` sequential step() calls for any block size,
-  /// thread count or member partition.
+  /// through one batched call across the members (one pool fan-out, each
+  /// field's row step and column pass whole on its worker — see
+  /// Fft2D::*_half_pruned_batch) and the RK4 combines run over the whole
+  /// block's bins in one pass. Bitwise identical to `count` sequential
+  /// step() calls for any block size, thread count or member partition.
   void step_batch(std::span<double> states, std::size_t count, int nsteps,
                   SqgBatchWorkspace& ws) const;
   void step_batch(std::span<double> states, std::size_t count, int nsteps = 1) const {

@@ -1,6 +1,7 @@
 #include "telemetry/trace.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 
@@ -13,6 +14,11 @@ std::atomic<bool> g_trace_enabled{false};
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+std::int64_t clock_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now().time_since_epoch())
+      .count();
+}
 
 constexpr std::size_t kDefaultCapacity = 1u << 15;  ///< spans per thread (1 MiB)
 
@@ -50,17 +56,19 @@ struct TraceCollector::Buf {
 };
 
 namespace {
-// Cached registration: the pointer is only dereferenced when its epoch
-// matches the collector's, so clear() (which frees buffers and bumps the
-// epoch) safely invalidates it without touching other threads.
-thread_local TraceCollector::Buf* t_buf = nullptr;
+// The calling thread's ring, co-owned with the collector's registry. It is
+// only used while its epoch matches the collector's: clear() drops the
+// registry's reference and bumps the epoch, and the thread releases (and so
+// frees) its retired ring itself when it next registers or exits — a span
+// still closing when clear() runs writes into memory that stays alive.
+thread_local std::shared_ptr<TraceCollector::Buf> t_buf;
 thread_local std::uint64_t t_buf_epoch = 0;
 thread_local std::string t_label;
 }  // namespace
 
 void set_thread_label(std::string label) { t_label = std::move(label); }
 
-TraceCollector::TraceCollector() : capacity_(kDefaultCapacity), t0_(Clock::now()) {}
+TraceCollector::TraceCollector() : capacity_(kDefaultCapacity), t0_ns_(clock_ns()) {}
 TraceCollector::~TraceCollector() = default;
 
 TraceCollector& TraceCollector::instance() {
@@ -71,7 +79,7 @@ TraceCollector& TraceCollector::instance() {
 void TraceCollector::enable() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (bufs_.empty()) t0_ = Clock::now();  // fresh run: timestamps start near 0
+    if (bufs_.empty()) t0_ns_.store(clock_ns(), std::memory_order_relaxed);  // fresh run: t ~ 0
   }
   detail::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
@@ -82,9 +90,9 @@ void TraceCollector::disable() {
 
 void TraceCollector::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  bufs_.clear();
+  bufs_.clear();  // retire: each ring's owner thread frees it
   next_tid_ = 0;
-  t0_ = Clock::now();
+  t0_ns_.store(clock_ns(), std::memory_order_relaxed);
   // Invalidate every thread's cached registration.
   epoch_.fetch_add(1, std::memory_order_release);
 }
@@ -95,8 +103,7 @@ void TraceCollector::set_capacity(std::size_t spans_per_thread) {
 }
 
 std::uint64_t TraceCollector::now_ns() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0_).count());
+  return static_cast<std::uint64_t>(clock_ns() - t0_ns_.load(std::memory_order_relaxed));
 }
 
 TraceCollector::Buf& TraceCollector::local_buf() {
@@ -105,15 +112,14 @@ TraceCollector::Buf& TraceCollector::local_buf() {
     const std::lock_guard<std::mutex> lock(mu_);
     const std::uint32_t tid = next_tid_++;
     std::string label = t_label.empty() ? "thread-" + std::to_string(tid) : t_label;
-    bufs_.push_back(std::make_unique<Buf>(capacity_, tid, std::move(label)));
-    t_buf = bufs_.back().get();
+    t_buf = std::make_shared<Buf>(capacity_, tid, std::move(label));  // releases a retired ring
+    bufs_.push_back(t_buf);
     t_buf_epoch = epoch_.load(std::memory_order_relaxed);
   }
   return *t_buf;
 }
 
-void TraceCollector::push(const SpanRecord& rec) {
-  Buf& b = local_buf();
+void TraceCollector::push(Buf& b, const SpanRecord& rec) {
   const std::uint64_t h = b.head.load(std::memory_order_relaxed);
   b.ring[h % b.ring.size()] = rec;
   b.head.store(h + 1, std::memory_order_release);
@@ -123,14 +129,14 @@ void TraceCollector::instant(const char* name) {
   if (!tracing_enabled()) [[likely]]
     return;
   Buf& b = local_buf();
-  push(SpanRecord{name, now_ns(), 0, b.depth, /*instant=*/true});
+  push(b, SpanRecord{name, now_ns(), 0, b.depth, /*instant=*/true});
 }
 
 void TraceCollector::complete(const char* name, std::uint64_t t0_ns, std::uint64_t dur_ns) {
   if (!tracing_enabled()) [[likely]]
     return;
   Buf& b = local_buf();
-  push(SpanRecord{name, t0_ns, dur_ns, b.depth, /*instant=*/false});
+  push(b, SpanRecord{name, t0_ns, dur_ns, b.depth, /*instant=*/false});
 }
 
 std::vector<ThreadTrace> TraceCollector::snapshot() const {
@@ -213,7 +219,7 @@ void TraceSpan::end() {
   // record: a half-open span would skew nesting for later spans.
   TraceCollector::Buf& b = c.local_buf();
   if (b.depth > 0) --b.depth;
-  c.push(SpanRecord{name_, t0_, c.now_ns() - t0_, depth_, /*instant=*/false});
+  TraceCollector::push(b, SpanRecord{name_, t0_, c.now_ns() - t0_, depth_, /*instant=*/false});
 }
 
 }  // namespace turbda::telemetry

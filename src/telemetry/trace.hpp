@@ -29,13 +29,15 @@
 //   TURBDA_TRACE_INSTANT("status.deadline_miss");
 //   telemetry::TraceCollector::instance().write_chrome_trace("trace.json");
 //
-// Snapshots and clear() are meant for quiescent points (between runs, after
+// Snapshots are meant for quiescent points (between runs, after
 // joining/idling worker threads): a snapshot taken while a wrapped ring is
-// actively being overwritten may observe a torn oldest record.
+// actively being overwritten may observe a torn oldest record. clear() is
+// safe against spans still closing on other threads: it retires rings from
+// the registry instead of freeing them, and each ring is freed by its own
+// thread (at its next registration or exit), never under a writer.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -88,8 +90,9 @@ class TraceCollector {
   void disable();
   [[nodiscard]] bool enabled() const { return tracing_enabled(); }
 
-  /// Drops all recorded spans and thread registrations. Must not race
-  /// active span recording (call at quiescent points).
+  /// Drops all recorded spans and thread registrations. Spans still being
+  /// recorded on other threads land in their retired rings and are not
+  /// exported; each thread registers a fresh ring at its next span.
   void clear();
 
   /// Ring capacity (spans per thread) for buffers registered after the
@@ -129,14 +132,19 @@ class TraceCollector {
   /// The calling thread's buffer, registering it on first use (and after
   /// clear(), via an epoch check).
   Buf& local_buf();
-  void push(const SpanRecord& rec);
+  static void push(Buf& b, const SpanRecord& rec);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Buf>> bufs_;
+  // Registered rings, shared with their owning threads: clear() drops the
+  // registry's references only, so a span closing concurrently still
+  // writes into live memory.
+  std::vector<std::shared_ptr<Buf>> bufs_;
   std::size_t capacity_;
   std::uint32_t next_tid_ = 0;
   std::atomic<std::uint64_t> epoch_{1};
-  std::chrono::steady_clock::time_point t0_;
+  /// Epoch start as steady_clock nanoseconds; atomic because spans read it
+  /// while enable()/clear() re-anchor it.
+  std::atomic<std::int64_t> t0_ns_;
 };
 
 /// Label the calling thread in traces ("main", "pool-worker-2", ...). Takes

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -520,40 +522,297 @@ TEST(SimdDispatch, Rfft1dMatchesScalarAcrossLevels) {
   }
 }
 
-// --- input-band-pruned transforms -------------------------------------------
+// --- column pass vs the transpose oracle ------------------------------------
 
-TEST(Fft1d, BandedMatchesDenseOnBandLimitedInput) {
-  // Bands straddling every case split: narrow (< n/4, dense fallback),
-  // the dealias band (~n/3), above 3n/8 (dense-middle blocks), and >= n/2
-  // (full fallback).
-  for (const std::size_t n : {16u, 32u, 64u, 128u, 256u}) {
-    Rng rng(307 + n);
-    for (const std::size_t band :
-         {n / 8, n / 4, n / 3, 3 * n / 8 + 1, n / 2 - 1, n / 2}) {
-      std::vector<Cplx> x(n, Cplx(0.0, 0.0));
-      for (std::size_t j = 0; j < n; ++j)
-        if (j <= band || j + band >= n) x[j] = Cplx(rng.gaussian(), rng.gaussian());
-      Fft1D plan(n);
-      auto fwd_ref = x;
-      plan.forward(fwd_ref);
-      auto fwd = x;
-      plan.forward_banded(fwd, band);
-      auto inv_ref = x;
-      plan.inverse(inv_ref);
-      auto inv = x;
-      plan.inverse_banded(inv, band);
-      double scale = 0.0;
-      for (const auto& v : fwd_ref) scale = std::max(scale, std::abs(v));
-      ASSERT_GT(scale, 0.0);
+// The 2-D transforms run their column FFTs as one in-place pass down the
+// row-major scratch. The oracle spells the same transforms out the direct
+// way: rows through Rfft1D / Fft1D, then an explicit transpose of each
+// column, one Fft1D per column and a transpose back. Every Fft2D entry point
+// must reproduce it bit for bit (memcmp, so a flipped sign of zero fails).
+namespace oracle {
+
+/// Transforms columns [0, cols) of the rows x ld array `a` in place, one
+/// gathered column at a time.
+void columns(std::vector<Cplx>& a, std::size_t rows, std::size_t ld, std::size_t cols,
+             bool inverse) {
+  const Fft1D plan(rows);
+  std::vector<Cplx> col(rows);
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t i = 0; i < rows; ++i) col[i] = a[i * ld + j];
+    if (inverse) {
+      plan.inverse(col);
+    } else {
+      plan.forward(col);
+    }
+    for (std::size_t i = 0; i < rows; ++i) a[i * ld + j] = col[i];
+  }
+}
+
+long wavenumber(std::size_t i, std::size_t n) {
+  return i <= n / 2 ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n);
+}
+
+/// forward_half_pruned: rows r2c, columns [0, min(kcut, n1/2)] transformed,
+/// bins outside the |mx|, |my| <= kcut square written as +0.
+std::vector<Cplx> forward_half(const std::vector<double>& g, std::size_t n0, std::size_t n1,
+                               std::size_t kcut) {
+  const std::size_t nh = n1 / 2 + 1, cols = std::min(kcut, n1 / 2) + 1;
+  const Rfft1D rrow(n1);
+  std::vector<Cplx> h(n0 * nh);
+  for (std::size_t i = 0; i < n0; ++i)
+    rrow.forward(std::span<const double>(g).subspan(i * n1, n1),
+                 std::span<Cplx>(h).subspan(i * nh, nh));
+  columns(h, n0, nh, cols, /*inverse=*/false);
+  const long rowcut = static_cast<long>(std::min(kcut, n0 / 2));
+  for (std::size_t i = 0; i < n0; ++i)
+    for (std::size_t j = 0; j < nh; ++j)
+      if (j >= cols || std::labs(wavenumber(i, n0)) > rowcut) h[i * nh + j] = Cplx(0.0, 0.0);
+  return h;
+}
+
+/// inverse_half_pruned: columns [0, cols) of `spec` (row stride ld)
+/// inverse-transformed, the remaining half-spectrum bins +0, rows c2r.
+std::vector<double> inverse_half(const std::vector<Cplx>& spec, std::size_t ld, std::size_t n0,
+                                 std::size_t n1, std::size_t kcut) {
+  const std::size_t nh = n1 / 2 + 1, cols = std::min(kcut, n1 / 2) + 1;
+  std::vector<Cplx> h(n0 * nh, Cplx(0.0, 0.0));
+  for (std::size_t i = 0; i < n0; ++i)
+    for (std::size_t j = 0; j < cols; ++j) h[i * nh + j] = spec[i * ld + j];
+  columns(h, n0, nh, cols, /*inverse=*/true);
+  const Rfft1D rrow(n1);
+  std::vector<double> g(n0 * n1);
+  for (std::size_t i = 0; i < n0; ++i)
+    rrow.inverse_inplace(std::span<Cplx>(h).subspan(i * nh, nh),
+                         std::span<double>(g).subspan(i * n1, n1));
+  return g;
+}
+
+/// forward_real: the unpruned half spectrum expanded to the full layout.
+std::vector<Cplx> forward_real(const std::vector<double>& g, std::size_t n0, std::size_t n1) {
+  const std::size_t nh = n1 / 2 + 1;
+  const auto h = forward_half(g, n0, n1, std::max(n0, n1));
+  std::vector<Cplx> full(n0 * n1);
+  for (std::size_t i = 0; i < n0; ++i)
+    for (std::size_t j = 0; j < n1; ++j)
+      full[i * n1 + j] = j < nh ? h[i * nh + j] : std::conj(h[((n0 - i) % n0) * nh + n1 - j]);
+  return full;
+}
+
+/// Complex forward()/inverse(): one Fft1D per row, then per column.
+std::vector<Cplx> complex2d(std::vector<Cplx> x, std::size_t n0, std::size_t n1, bool inverse) {
+  const Fft1D row(n1);
+  for (std::size_t i = 0; i < n0; ++i) {
+    const std::span<Cplx> r(x.data() + i * n1, n1);
+    if (inverse) {
+      row.inverse(r);
+    } else {
+      row.forward(r);
+    }
+  }
+  columns(x, n0, n1, n1, inverse);
+  return x;
+}
+
+}  // namespace oracle
+
+/// Gaussian, all-zero, delta and constant grids: the degenerate ones make
+/// whole butterfly operands exactly zero, where a sign-of-zero slip shows.
+std::vector<std::vector<double>> test_fields(std::size_t n0, std::size_t n1, std::uint64_t seed) {
+  std::vector<std::vector<double>> f(4, std::vector<double>(n0 * n1, 0.0));
+  Rng rng(seed);
+  rng.fill_gaussian(f[0]);
+  f[2][0] = 1.0;
+  std::fill(f[3].begin(), f[3].end(), 0.25);
+  return f;
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Fft2dColumnPass, EveryEntryPointMatchesTransposeOracleBitwise) {
+  for (const std::size_t n0 : {2u, 4u, 8u, 32u, 128u}) {
+    for (const std::size_t n1 : {2u, 8u, 32u, 128u}) {
+      const std::size_t n = std::max(n0, n1), nh = n1 / 2 + 1;
+      const auto fields = test_fields(n0, n1, 7 * n0 + n1);
+      for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+        Fft2D plan(n0, n1);
+        plan.set_max_threads(nt);
+        for (std::size_t f = 0; f < fields.size(); ++f) {
+          const auto& g = fields[f];
+          const std::string where = std::to_string(n0) + "x" + std::to_string(n1) + " field " +
+                                    std::to_string(f) + " threads " + std::to_string(nt);
+          // Unpruned half spectrum and its inverse.
+          const auto want_h = oracle::forward_half(g, n0, n1, n);
+          std::vector<Cplx> h(plan.half_size());
+          plan.forward_half(g, h);
+          ASSERT_TRUE(same_bits(h, want_h)) << "forward_half " << where;
+          std::vector<double> back(n0 * n1);
+          plan.inverse_half(want_h, back);
+          ASSERT_TRUE(same_bits(back, oracle::inverse_half(want_h, nh, n0, n1, n)))
+              << "inverse_half " << where;
+
+          // Full Hermitian layout.
+          const auto want_full = oracle::forward_real(g, n0, n1);
+          std::vector<Cplx> full(n0 * n1);
+          plan.forward_real(g, full);
+          ASSERT_TRUE(same_bits(full, want_full)) << "forward_real " << where;
+          plan.inverse_real(want_full, back);
+          ASSERT_TRUE(same_bits(back, oracle::inverse_half(want_full, n1, n0, n1, n)))
+              << "inverse_real " << where;
+
+          // Complex transforms of the grid as the real part and its
+          // reversal as the imaginary part.
+          std::vector<Cplx> x(n0 * n1);
+          for (std::size_t p = 0; p < x.size(); ++p) x[p] = Cplx(g[p], g[x.size() - 1 - p]);
+          for (const bool inverse : {false, true}) {
+            auto got = x;
+            if (inverse) {
+              plan.inverse(got);
+            } else {
+              plan.forward(got);
+            }
+            ASSERT_TRUE(same_bits(got, oracle::complex2d(x, n0, n1, inverse)))
+                << (inverse ? "inverse " : "forward ") << where;
+          }
+
+          // Pruned transforms, single-field and batched.
+          for (const std::size_t kcut : {std::size_t{4}, n / 3, n / 2, n}) {
+            const auto want_p = oracle::forward_half(g, n0, n1, kcut);
+            const auto want_g = oracle::inverse_half(want_p, nh, n0, n1, kcut);
+            std::vector<Cplx> p(plan.half_size());
+            plan.forward_half_pruned(g, p, kcut);
+            ASSERT_TRUE(same_bits(p, want_p))
+                << "forward_half_pruned kcut " << kcut << " " << where;
+            plan.inverse_half_pruned(want_p, back, kcut);
+            ASSERT_TRUE(same_bits(back, want_g))
+                << "inverse_half_pruned kcut " << kcut << " " << where;
+
+            std::vector<Cplx> pb(plan.half_size());
+            std::vector<double> gb(n0 * n1);
+            const double* gp[] = {g.data()};
+            Cplx* pp[] = {pb.data()};
+            const Cplx* cp[] = {want_p.data()};
+            double* bp[] = {gb.data()};
+            plan.forward_half_pruned_batch(gp, pp, kcut);
+            plan.inverse_half_pruned_batch(cp, bp, kcut);
+            ASSERT_TRUE(same_bits(pb, want_p)) << "forward batch kcut " << kcut << " " << where;
+            ASSERT_TRUE(same_bits(gb, want_g)) << "inverse batch kcut " << kcut << " " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Fft2dColumnPass, TransformColumnsMatchesPerColumnFft1d) {
+  // The 1-D entry on its own, on a padded stride and a sub-range of columns:
+  // columns outside [0, width) and the padding stay untouched.
+  for (const std::size_t n : {2u, 4u, 8u, 16u, 64u}) {
+    const std::size_t ld = 7, width = 4;
+    Rng rng(503 + n);
+    std::vector<Cplx> a(n * ld);
+    for (auto& v : a) v = Cplx(rng.gaussian(), rng.gaussian());
+    const Fft1D plan(n);
+    for (const bool inverse : {false, true}) {
+      auto want = a;
+      oracle::columns(want, n, ld, width, inverse);
+      // transform_columns expects the rows in bit-reversed order.
+      std::vector<Cplx> got(n * ld);
+      for (std::size_t i = 0; i < n; ++i)
+        std::copy(a.begin() + static_cast<long>(plan.bitrev(i) * ld),
+                  a.begin() + static_cast<long>((plan.bitrev(i) + 1) * ld),
+                  got.begin() + static_cast<long>(i * ld));
+      plan.transform_columns(got.data(), ld, width, inverse);
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_NEAR(fwd[i].real(), fwd_ref[i].real(), 1e-12 * scale)
-            << "n=" << n << " band=" << band << " i=" << i;
-        ASSERT_NEAR(fwd[i].imag(), fwd_ref[i].imag(), 1e-12 * scale)
-            << "n=" << n << " band=" << band << " i=" << i;
-        ASSERT_NEAR(inv[i].real(), inv_ref[i].real(), 1e-12 * scale / static_cast<double>(n))
-            << "n=" << n << " band=" << band << " i=" << i;
-        ASSERT_NEAR(inv[i].imag(), inv_ref[i].imag(), 1e-12 * scale / static_cast<double>(n))
-            << "n=" << n << " band=" << band << " i=" << i;
+        EXPECT_EQ(0, std::memcmp(&got[i * ld], &want[i * ld], width * sizeof(Cplx)))
+            << "n=" << n << " row " << i << (inverse ? " inverse" : " forward");
+        EXPECT_EQ(0, std::memcmp(&got[i * ld + width], &a[plan.bitrev(i) * ld + width],
+                                 (ld - width) * sizeof(Cplx)))
+            << "n=" << n << " row " << i << ": columns past the width were touched";
+      }
+    }
+  }
+  EXPECT_THROW(Fft1D(8).transform_columns(nullptr, 4, 3, false), Error);  // odd width
+  EXPECT_THROW(Fft1D(8).transform_columns(nullptr, 4, 6, false), Error);  // width > stride
+}
+
+TEST(Fft2dColumnPass, SingleColumnGridsMatchComplexOracle) {
+  // n1 == 1 has no r2c row step: forward_real/inverse_real go through the
+  // complex transform, whose one-column scratch rows carry a padding column.
+  const std::size_t n0 = 16, n1 = 1;
+  for (const auto& g : test_fields(n0, n1, 17)) {
+    std::vector<Cplx> x(n0);
+    for (std::size_t i = 0; i < n0; ++i) x[i] = Cplx(g[i], 0.0);
+    Fft2D plan(n0, n1);
+    std::vector<Cplx> spec(n0);
+    plan.forward_real(g, spec);
+    const auto want = oracle::complex2d(x, n0, n1, /*inverse=*/false);
+    EXPECT_TRUE(same_bits(spec, want));
+    std::vector<double> back(n0);
+    plan.inverse_real(want, back);
+    const auto want_back = oracle::complex2d(want, n0, n1, /*inverse=*/true);
+    for (std::size_t i = 0; i < n0; ++i) {
+      const double want_i = want_back[i].real();
+      EXPECT_EQ(0, std::memcmp(&back[i], &want_i, sizeof(double))) << i;
+    }
+  }
+}
+
+// The column pass against the forced-scalar reference, through the 2-D
+// entry points the SQG tendency runs (pruned pair at kcut = n/3) and the
+// unpruned pair, on square and non-square grids with degenerate fields:
+// Avx2 bitwise, Avx2Fma to 1e-12 of the spectrum scale.
+TEST(SimdDispatch, Fft2dMatchesScalarAcrossLevels) {
+  SimdLevelGuard guard;
+  for (auto [n0, n1] : {std::pair<std::size_t, std::size_t>{8, 8}, {32, 8}, {8, 32}, {128, 128}}) {
+    const std::size_t kcut = std::max(n0, n1) / 3;
+    Fft2D plan(n0, n1);
+    std::vector<std::vector<double>> fields(3, std::vector<double>(n0 * n1, 0.0));
+    Rng rng(601 + n0 + n1);
+    rng.fill_gaussian(fields[0]);
+    fields[1][0] = 1.0;
+    std::fill(fields[2].begin(), fields[2].end(), 0.25);
+    for (const auto& g : fields) {
+      ASSERT_TRUE(force_simd_level(SimdLevel::Scalar));
+      std::vector<Cplx> h_ref(plan.half_size()), p_ref(plan.half_size());
+      std::vector<double> back_ref(n0 * n1), pback_ref(n0 * n1);
+      plan.forward_half(g, h_ref);
+      plan.inverse_half(h_ref, back_ref);
+      plan.forward_half_pruned(g, p_ref, kcut);
+      plan.inverse_half_pruned(p_ref, pback_ref, kcut);
+      double scale = 0.0;
+      for (const auto& v : h_ref) scale = std::max(scale, std::abs(v));
+
+      for (const SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx2Fma}) {
+        if (!simd_level_available(level)) continue;
+        ASSERT_TRUE(force_simd_level(level));
+        std::vector<Cplx> h(plan.half_size()), p(plan.half_size());
+        std::vector<double> back(n0 * n1), pback(n0 * n1);
+        plan.forward_half(g, h);
+        plan.inverse_half(h_ref, back);
+        plan.forward_half_pruned(g, p, kcut);
+        plan.inverse_half_pruned(p_ref, pback, kcut);
+        const std::string where = std::to_string(n0) + "x" + std::to_string(n1) + " " +
+                                  simd_level_name(level);
+        if (level == SimdLevel::Avx2) {
+          EXPECT_TRUE(same_bits(h, h_ref)) << where;
+          EXPECT_TRUE(same_bits(back, back_ref)) << where;
+          EXPECT_TRUE(same_bits(p, p_ref)) << where;
+          EXPECT_TRUE(same_bits(pback, pback_ref)) << where;
+        } else {
+          for (std::size_t i = 0; i < h.size(); ++i) {
+            ASSERT_NEAR(h[i].real(), h_ref[i].real(), 1e-12 * scale) << where << " bin " << i;
+            ASSERT_NEAR(h[i].imag(), h_ref[i].imag(), 1e-12 * scale) << where << " bin " << i;
+            ASSERT_NEAR(p[i].real(), p_ref[i].real(), 1e-12 * scale) << where << " bin " << i;
+            ASSERT_NEAR(p[i].imag(), p_ref[i].imag(), 1e-12 * scale) << where << " bin " << i;
+          }
+          for (std::size_t i = 0; i < back.size(); ++i) {
+            ASSERT_NEAR(back[i], back_ref[i], 1e-12) << where << " point " << i;
+            ASSERT_NEAR(pback[i], pback_ref[i], 1e-12) << where << " point " << i;
+          }
+        }
       }
     }
   }
