@@ -33,13 +33,14 @@ BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 void BM_Fft2D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   fft::Fft2D plan(n, n);
-  std::vector<fft::Cplx> buf(n * n);
+  std::vector<double> grid(n * n);
+  std::vector<fft::Cplx> hspec(plan.half_size());
   rng::Rng rng(2);
-  for (auto& v : buf) v = fft::Cplx(rng.gaussian(), rng.gaussian());
+  rng.fill_gaussian(grid);
   for (auto _ : state) {
-    plan.forward(buf);
-    plan.inverse(buf);
-    benchmark::DoNotOptimize(buf.data());
+    plan.forward_half(grid, hspec);
+    plan.inverse_half(hspec, grid);
+    benchmark::DoNotOptimize(grid.data());
   }
 }
 BENCHMARK(BM_Fft2D)->Arg(32)->Arg(64)->Arg(128);

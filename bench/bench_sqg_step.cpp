@@ -1,13 +1,12 @@
-// SQG forecast hot-path bench: times the real-FFT pairs (full layout, packed
-// half spectrum, and the pruned kcut = n/3 pair the tendency runs), the
-// spectral tendency, and the full RK4 step at n = 64/128/256 across thread counts,
-// plus the ensemble forecast (the paper's throughput axis) in both the
-// member-parallel per-member and the block-batched (step_batch) form.
-// Reports the active FFT SIMD dispatch level (scalar / avx2 / avx2fma) and
-// per-row hardware context, emits a machine-readable BENCH_sqg.json so
-// later PRs can track the perf trajectory, and verifies that every
-// multi-threaded and batched result is bitwise identical to the
-// single-threaded per-member one.
+// SQG forecast hot-path bench: times the real-FFT pairs (packed half
+// spectrum, and the pruned kcut = n/3 pair the tendency runs), the spectral
+// tendency and the full RK4 step at n = 64/128/256 — all serial, since one
+// member always steps on one thread — plus the member-parallel ensemble
+// forecast (the paper's throughput axis) at each --threads count. Reports
+// the active FFT SIMD dispatch level (scalar / avx2 / avx2fma) and per-row
+// hardware context, emits a machine-readable BENCH_sqg.json so later changes
+// can track the perf trajectory, and verifies that every multi-threaded
+// ensemble forecast is bitwise identical to the single-threaded one.
 //
 //   build/bench_sqg_step [--sizes=64,128,256] [--threads=1,2,4]
 //                        [--members=20] [--reps=3] [--json=BENCH_sqg.json]
@@ -58,26 +57,21 @@ double best_ms(int reps, int iters, F&& fn) {
   return best;
 }
 
-struct Result {
-  std::size_t n = 0;
-  std::size_t threads = 0;
-  double fft_pair_ms = 0.0;  // full Hermitian-redundant layout (legacy)
-  double fft_half_ms = 0.0;    // packed half-spectrum layout, unpruned
+/// Serial per-member kernel timings of one grid size.
+struct Kernels {
+  double fft_half_ms = 0.0;    // packed half-spectrum pair, unpruned
   double fft_pruned_ms = 0.0;  // pruned at the dealias cut kcut = n/3 (the hot path)
   double tendency_ms = 0.0;
   double step_ms = 0.0;
-  double ens_ms = 0.0;        // per-member forecasts fanned over the pool
-  double ens_batch_ms = 0.0;  // block-batched step_batch forecasts
-  bool bitwise = true;
 };
 
-sqg::SqgConfig model_config(std::size_t n, std::size_t fft_threads) {
-  sqg::SqgConfig cfg;
-  cfg.n = n;
-  cfg.dt = 900.0;
-  cfg.n_fft_threads = fft_threads;
-  return cfg;
-}
+struct Result {
+  std::size_t n = 0;
+  std::size_t threads = 0;
+  Kernels k;            // serial, shared by every thread-count row of this n
+  double ens_ms = 0.0;  // per-member forecasts fanned over the pool
+  bool bitwise = true;
+};
 
 }  // namespace
 
@@ -86,7 +80,7 @@ int main(int argc, char** argv) {
   if (args.flag("help")) {
     std::cout << "bench_sqg_step: SQG spectral-core timings (FFT / tendency / RK4 / ensemble)\n"
                  "  --sizes=<csv>    grid sizes (default 64,128,256)\n"
-                 "  --threads=<csv>  thread counts for FFT + ensemble scaling (default 1,2,4)\n"
+                 "  --threads=<csv>  thread counts for the ensemble forecast (default 1,2,4)\n"
                  "  --members=<int>  ensemble size for the forecast timing (default 20)\n"
                  "  --reps=<int>     best-of repetitions (default 3)\n"
                  "  --json=<path>    machine-readable output (default BENCH_sqg.json)\n"
@@ -112,66 +106,57 @@ int main(int argc, char** argv) {
     const int ten_iters = smoke ? 5 : ((n >= 256) ? 10 : 40);
     const int step_iters = smoke ? 2 : ((n >= 256) ? 5 : 20);
 
-    // Serial (1-thread) reference for the bitwise cross-thread check — run
+    sqg::SqgConfig cfg;
+    cfg.n = n;
+    cfg.dt = 900.0;
+    const sqg::SqgModel model(cfg);
+    sqg::SqgWorkspace ws(n);
+    rng::Rng rng(2024 + n);
+    std::vector<double> theta(model.dim());
+    model.random_init(theta, rng, 1.0, 4);
+
+    // Serial 1-member reference for the bitwise cross-thread check — run
     // unconditionally so the claim holds even when 1 is not in --threads.
-    std::vector<double> theta;
-    std::vector<std::vector<double>> ref_members(members);
+    std::vector<double> ref_member = theta;
+    model.step(ref_member, 1, ws);
+
+    Kernels k;
+    // Real-FFT pairs on one level: the packed half spectrum, and the pruned
+    // half-spectrum pair at the 2/3 dealias cut — the transform the
+    // tendency actually runs.
+    fft::Fft2D fft(n, n);
+    std::vector<double> grid(theta.begin(), theta.begin() + static_cast<long>(nn));
+    std::vector<fft::Cplx> hspec(fft.half_size());
+    k.fft_half_ms = best_ms(reps, fft_iters, [&] {
+      fft.forward_half(grid, hspec);
+      fft.inverse_half(hspec, grid);
+    });
+    k.fft_pruned_ms = best_ms(reps, fft_iters, [&] {
+      fft.forward_half_pruned(grid, hspec, n / 3);
+      fft.inverse_half_pruned(hspec, grid, n / 3);
+    });
+
+    // Spectral tendency (the RK4 inner kernel).
+    std::vector<fft::Cplx> tspec(model.spec_dim()), tout(model.spec_dim());
+    model.to_spectral(theta, tspec);
+    k.tendency_ms = best_ms(reps, ten_iters, [&] { model.tendency(tspec, tout, ws); });
+
+    // Full RK4 step.
     {
-      sqg::SqgModel ref_model(model_config(n, 1));
-      rng::Rng rng(2024 + n);
-      theta.resize(ref_model.dim());
-      ref_model.random_init(theta, rng, 1.0, 4);
-      sqg::SqgWorkspace ws(n);
-      for (std::size_t m = 0; m < members; ++m) {
-        ref_members[m] = theta;
-        ref_model.step(ref_members[m], 1, ws);
-      }
+      std::vector<double> state = theta;
+      model.step(state, 1, ws);  // warm up
+      k.step_ms =
+          best_ms(reps, 1, [&] { state = theta; model.step(state, step_iters, ws); }) / step_iters;
     }
 
     for (const std::size_t nt : threads) {
-      sqg::SqgModel model(model_config(n, nt));
-      sqg::SqgWorkspace ws(n);
-
       Result res;
       res.n = n;
       res.threads = nt;
-
-      // Real-FFT pair on one level: legacy full Hermitian-redundant layout,
-      // the packed half spectrum, and the pruned half-spectrum pair at the
-      // 2/3 dealias cut — the transform the tendency actually runs.
-      fft::Fft2D fft(n, n);
-      fft.set_max_threads(nt);
-      std::vector<double> grid(theta.begin(), theta.begin() + static_cast<long>(nn));
-      std::vector<fft::Cplx> spec(nn);
-      res.fft_pair_ms = best_ms(reps, fft_iters, [&] {
-        fft.forward_real(grid, spec);
-        fft.inverse_real(spec, grid);
-      });
-      std::vector<fft::Cplx> hspec(fft.half_size());
-      res.fft_half_ms = best_ms(reps, fft_iters, [&] {
-        fft.forward_half(grid, hspec);
-        fft.inverse_half(hspec, grid);
-      });
-      res.fft_pruned_ms = best_ms(reps, fft_iters, [&] {
-        fft.forward_half_pruned(grid, hspec, n / 3);
-        fft.inverse_half_pruned(hspec, grid, n / 3);
-      });
-
-      // Spectral tendency (the RK4 inner kernel).
-      std::vector<fft::Cplx> tspec(model.spec_dim()), tout(model.spec_dim());
-      model.to_spectral(theta, tspec);
-      res.tendency_ms = best_ms(reps, ten_iters, [&] { model.tendency(tspec, tout, ws); });
-
-      // Full RK4 step.
-      {
-        std::vector<double> state = theta;
-        model.step(state, 1, ws);  // warm up
-        res.step_ms = best_ms(reps, 1, [&] { state = theta; model.step(state, step_iters, ws); }) /
-                      step_iters;
-      }
-
+      res.k = k;
       // Member-parallel ensemble forecast: `members` independent states, one
-      // RK4 step each, fanned out over the pool with max_par = nt.
+      // RK4 step each, fanned out over the pool with max_par = nt — the
+      // shape of the cycling runners' member-block forecast.
       std::vector<std::vector<double>> states(members);
       res.ens_ms = best_ms(reps, 1, [&] {
         for (std::size_t m = 0; m < members; ++m) states[m] = theta;
@@ -184,48 +169,27 @@ int main(int argc, char** argv) {
             /*min_grain=*/1, nt);
       });
       for (std::size_t m = 0; m < members; ++m)
-        res.bitwise = res.bitwise && std::memcmp(states[m].data(), ref_members[m].data(),
-                                                 states[m].size() * sizeof(double)) == 0;
-
-      // Block-batched ensemble forecast: the same members as one contiguous
-      // (members x dim) block, each worker advancing its chunk through
-      // step_batch — the forecast path the cycling runners use.
-      std::vector<double> block(members * model.dim());
-      res.ens_batch_ms = best_ms(reps, 1, [&] {
-        for (std::size_t m = 0; m < members; ++m)
-          std::copy(theta.begin(), theta.end(), block.begin() + static_cast<long>(m * model.dim()));
-        parallel::parallel_for(
-            members,
-            [&](std::size_t b, std::size_t e) {
-              model.step_batch(std::span<double>(block.data() + b * model.dim(),
-                                                 (e - b) * model.dim()),
-                               e - b, 1);
-            },
-            /*min_grain=*/1, nt);
-      });
-      for (std::size_t m = 0; m < members; ++m)
-        res.bitwise = res.bitwise && std::memcmp(block.data() + m * model.dim(),
-                                                 ref_members[m].data(),
-                                                 model.dim() * sizeof(double)) == 0;
+        res.bitwise = res.bitwise && std::memcmp(states[m].data(), ref_member.data(),
+                                                 ref_member.size() * sizeof(double)) == 0;
       results.push_back(res);
     }
   }
 
-  io::Table t({"n", "threads", "fft pair [ms]", "half pair [ms]", "pruned pair [ms]",
-               "tendency [ms]",
-               "RK4 step [ms]", "ens fcst [ms]", "ens batch [ms]", "bitwise == t1"});
+  io::Table t({"n", "threads", "half pair [ms]", "pruned pair [ms]", "tendency [ms]",
+               "RK4 step [ms]", "ens fcst [ms]", "bitwise == t1"});
   for (const auto& r : results) {
-    t.add_row({std::to_string(r.n), std::to_string(r.threads), io::Table::num(r.fft_pair_ms, 3),
-               io::Table::num(r.fft_half_ms, 3), io::Table::num(r.fft_pruned_ms, 3),
-               io::Table::num(r.tendency_ms, 3),
-               io::Table::num(r.step_ms, 3), io::Table::num(r.ens_ms, 3),
-               io::Table::num(r.ens_batch_ms, 3), r.bitwise ? "yes" : "NO"});
+    t.add_row({std::to_string(r.n), std::to_string(r.threads), io::Table::num(r.k.fft_half_ms, 3),
+               io::Table::num(r.k.fft_pruned_ms, 3), io::Table::num(r.k.tendency_ms, 3),
+               io::Table::num(r.k.step_ms, 3), io::Table::num(r.ens_ms, 3),
+               r.bitwise ? "yes" : "NO"});
   }
   t.print();
+  std::cout << "\nFFT, tendency and RK4 columns are serial (one member on one thread),\n"
+               "measured once per size; --threads sets the ensemble forecast's workers.\n";
 
   bool all_bitwise = true;
   for (const auto& r : results) all_bitwise = all_bitwise && r.bitwise;
-  std::cout << "\nMulti-threaded results bitwise identical to 1 thread: "
+  std::cout << "\nMulti-threaded ensemble forecasts bitwise identical to 1 thread: "
             << (all_bitwise ? "yes" : "NO") << "\n";
 
   // Per-row hardware context (hw_threads, simd) rides along so downstream
@@ -239,11 +203,10 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     js << "    {\"n\": " << r.n << ", \"threads\": " << r.threads
        << ", \"hw_threads\": " << hw << ", \"simd\": \"" << simd << "\""
-       << ", \"fft_pair_ms\": " << r.fft_pair_ms << ", \"fft_half_pair_ms\": " << r.fft_half_ms
-       << ", \"fft_pruned_pair_ms\": " << r.fft_pruned_ms
-       << ", \"tendency_ms\": " << r.tendency_ms
-       << ", \"rk4_step_ms\": " << r.step_ms << ", \"ens_forecast_ms\": " << r.ens_ms
-       << ", \"ens_batch_forecast_ms\": " << r.ens_batch_ms
+       << ", \"fft_half_pair_ms\": " << r.k.fft_half_ms
+       << ", \"fft_pruned_pair_ms\": " << r.k.fft_pruned_ms
+       << ", \"tendency_ms\": " << r.k.tendency_ms << ", \"rk4_step_ms\": " << r.k.step_ms
+       << ", \"ens_forecast_ms\": " << r.ens_ms
        << ", \"bitwise_vs_t1\": " << (r.bitwise ? "true" : "false") << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/math_utils.hpp"
-#include "parallel/thread_pool.hpp"
 #include "telemetry/trace.hpp"
 
 namespace turbda::fft {
@@ -197,142 +196,49 @@ Cplx* tls_scratch(std::size_t n) {
   return buf.data();
 }
 
-/// Runs fn(begin, end) over [0, n): inline when serial — skipping the
-/// std::function round trip of parallel_for on the default single-thread
-/// path — and fanned out over the pool otherwise. Fan-out is bitwise
-/// partition-invariant for all callers here: rows and column vectors are
-/// disjoint and each one's result depends only on its own data.
-template <class F>
-void run_partitioned(std::size_t n, std::size_t min_grain, std::size_t max_par, F&& fn) {
-  if (max_par == 1) {
-    fn(std::size_t{0}, n);
-  } else {
-    parallel::parallel_for(n, fn, min_grain, max_par);
-  }
+/// Validates the row length before the r2c row plan is built.
+std::size_t real_row_length(std::size_t n0, std::size_t n1) {
+  TURBDA_REQUIRE(n1 >= 2, "Fft2D rows go through the r2c transform: need n1 >= 2, plan is "
+                              << n0 << "x" << n1);
+  return n1;
 }
 
 }  // namespace
 
-Fft2D::Fft2D(std::size_t n0, std::size_t n1) : n0_(n0), n1_(n1), row_(n1), col_(n0) {
-  if (n1_ >= 2) rrow_.emplace(n1_);
-}
-
-void Fft2D::column_pass(Cplx* rows, std::size_t ld, std::size_t width, bool inverse) const {
-  const std::size_t pairs = width / 2;
-  const std::size_t max_par = n0_ * width < 2048 ? 1 : threads_;  // fork/join would dominate
-  run_partitioned(pairs, /*min_grain=*/2, max_par, [&](std::size_t b, std::size_t e) {
-    col_.transform_columns(rows + 2 * b, ld, 2 * (e - b), inverse);
-  });
-}
-
-const Cplx* Fft2D::transform2d(const Cplx* src, bool inverse) const {
-  const std::size_t ld = scratch_ld(n1_);
-  Cplx* s = tls_scratch(n0_ * ld);
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* row = s + i * ld;
-      const Cplx* in = src + col_.bitrev(i) * n1_;
-      std::copy(in, in + n1_, row);
-      std::fill(row + n1_, row + ld, Cplx(0.0, 0.0));
-      if (inverse) {
-        row_.inverse(std::span<Cplx>(row, n1_));
-      } else {
-        row_.forward(std::span<Cplx>(row, n1_));
-      }
-    }
-  });
-  column_pass(s, ld, ld, inverse);
-  return s;
-}
-
-void Fft2D::forward(std::span<Cplx> x) const {
-  TURBDA_REQUIRE(x.size() == n0_ * n1_, "Fft2D::forward: wrong buffer size");
-  const Cplx* s = transform2d(x.data(), /*inverse=*/false);
-  const std::size_t ld = scratch_ld(n1_);
-  for (std::size_t i = 0; i < n0_; ++i) std::copy(s + i * ld, s + i * ld + n1_, &x[i * n1_]);
-}
-
-void Fft2D::inverse(std::span<Cplx> x) const {
-  TURBDA_REQUIRE(x.size() == n0_ * n1_, "Fft2D::inverse: wrong buffer size");
-  const Cplx* s = transform2d(x.data(), /*inverse=*/true);
-  const std::size_t ld = scratch_ld(n1_);
-  for (std::size_t i = 0; i < n0_; ++i) std::copy(s + i * ld, s + i * ld + n1_, &x[i * n1_]);
-}
+Fft2D::Fft2D(std::size_t n0, std::size_t n1)
+    : n0_(n0), n1_(n1), col_(n0), rrow_(real_row_length(n0, n1)) {}
 
 const Cplx* Fft2D::real_forward_rows(std::span<const double> grid, std::size_t cols) const {
   const std::size_t nh = half_cols();
   const std::size_t ld = scratch_ld(nh);
   Cplx* s = tls_scratch(n0_ * ld);
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* row = s + col_.bitrev(i) * ld;
-      rrow_->forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(row, nh));
-      // The padding column rides through the column pass: keep it finite.
-      std::fill(row + nh, row + ld, Cplx(0.0, 0.0));
-    }
-  });
-  column_pass(s, ld, scratch_ld(cols), /*inverse=*/false);
+  for (std::size_t i = 0; i < n0_; ++i) {
+    Cplx* row = s + col_.bitrev(i) * ld;
+    rrow_.forward(grid.subspan(i * n1_, n1_), std::span<Cplx>(row, nh));
+    // The padding column rides through the column pass: keep it finite.
+    std::fill(row + nh, row + ld, Cplx(0.0, 0.0));
+  }
+  col_.transform_columns(s, ld, scratch_ld(cols), /*inverse=*/false);
   return s;
 }
 
-void Fft2D::real_inverse_rows(const Cplx* spec, std::size_t spec_ld, std::size_t cols,
-                              std::span<double> grid) const {
+void Fft2D::real_inverse_rows(const Cplx* hspec, std::size_t cols, std::span<double> grid) const {
   const std::size_t nh = half_cols();
   const std::size_t ld = scratch_ld(nh);
   const std::size_t width = scratch_ld(cols);
   Cplx* s = tls_scratch(n0_ * ld);
-  for (std::size_t i = 0; i < n0_; ++i) {  // a plain copy: not worth a fork/join
-    const Cplx* in = spec + col_.bitrev(i) * spec_ld;
+  for (std::size_t i = 0; i < n0_; ++i) {
+    const Cplx* in = hspec + col_.bitrev(i) * nh;
     Cplx* row = s + i * ld;
     std::copy(in, in + cols, row);
     std::fill(row + cols, row + width, Cplx(0.0, 0.0));
   }
-  column_pass(s, ld, width, /*inverse=*/true);
-  run_partitioned(n0_, /*min_grain=*/4, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* row = s + i * ld;
-      std::fill(row + cols, row + nh, Cplx(0.0, 0.0));  // truncated bins are exact zeros
-      rrow_->inverse_inplace(std::span<Cplx>(row, nh), grid.subspan(i * n1_, n1_));
-    }
-  });
-}
-
-void Fft2D::forward_real(std::span<const double> grid, std::span<Cplx> spec) const {
-  TURBDA_SPAN("fft.forward_real");
-  TURBDA_REQUIRE(grid.size() == n0_ * n1_ && spec.size() == n0_ * n1_,
-                 "forward_real: wrong buffer sizes");
-  if (!rrow_) {  // n1 == 1: nothing to halve along rows
-    for (std::size_t i = 0; i < grid.size(); ++i) spec[i] = Cplx(grid[i], 0.0);
-    forward(spec);
-    return;
+  col_.transform_columns(s, ld, width, /*inverse=*/true);
+  for (std::size_t i = 0; i < n0_; ++i) {
+    Cplx* row = s + i * ld;
+    std::fill(row + cols, row + nh, Cplx(0.0, 0.0));  // truncated bins are exact zeros
+    rrow_.inverse_inplace(std::span<Cplx>(row, nh), grid.subspan(i * n1_, n1_));
   }
-  const std::size_t nh = half_cols();
-  const std::size_t ld = scratch_ld(nh);
-  const Cplx* h = real_forward_rows(grid, nh);
-  // Expand the half spectrum to the full Hermitian-redundant layout:
-  // spec[i][j] = conj(spec[(n0-i) mod n0][n1-j]) for the mirrored columns.
-  run_partitioned(n0_, /*min_grain=*/8, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Cplx* hrow = h + i * ld;
-      Cplx* srow = spec.data() + i * n1_;
-      std::copy(hrow, hrow + nh, srow);
-      const Cplx* mrow = h + ((n0_ - i) % n0_) * ld;
-      for (std::size_t j = nh; j < n1_; ++j) srow[j] = std::conj(mrow[n1_ - j]);
-    }
-  });
-}
-
-void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) const {
-  TURBDA_SPAN("fft.inverse_real");
-  TURBDA_REQUIRE(grid.size() == n0_ * n1_ && spec.size() == n0_ * n1_,
-                 "inverse_real: wrong buffer sizes");
-  if (!rrow_) {
-    const Cplx* s = transform2d(spec.data(), /*inverse=*/true);
-    for (std::size_t i = 0; i < n0_; ++i) grid[i] = s[i * scratch_ld(1)].real();
-    return;
-  }
-  // Only the non-redundant columns 0..n1/2 are read.
-  real_inverse_rows(spec.data(), n1_, half_cols(), grid);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +251,6 @@ void Fft2D::inverse_real(std::span<const Cplx> spec, std::span<double> grid) con
 void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
                               std::size_t kcut) const {
   TURBDA_SPAN("fft.half_forward");
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && hspec.size() == half_size(),
                  "forward_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
@@ -354,68 +259,27 @@ void Fft2D::half_forward_impl(std::span<const double> grid, std::span<Cplx> hspe
   const std::size_t cols = std::min(kcut, n1_ / 2) + 1;
   const long rowcut = static_cast<long>(std::min(kcut, n0_ / 2));
   const Cplx* h = real_forward_rows(grid, cols);
-  run_partitioned(n0_, /*min_grain=*/8, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      Cplx* out = hspec.data() + i * nh;
-      const long my = (i <= n0_ / 2) ? static_cast<long>(i)
-                                     : static_cast<long>(i) - static_cast<long>(n0_);
-      if (std::labs(my) > rowcut) {
-        std::fill(out, out + nh, Cplx(0.0, 0.0));
-        continue;
-      }
-      const Cplx* src = h + i * ld;
-      std::copy(src, src + cols, out);
-      std::fill(out + cols, out + nh, Cplx(0.0, 0.0));
+  for (std::size_t i = 0; i < n0_; ++i) {
+    Cplx* out = hspec.data() + i * nh;
+    const long my =
+        (i <= n0_ / 2) ? static_cast<long>(i) : static_cast<long>(i) - static_cast<long>(n0_);
+    if (std::labs(my) > rowcut) {
+      std::fill(out, out + nh, Cplx(0.0, 0.0));
+      continue;
     }
-  });
+    const Cplx* src = h + i * ld;
+    std::copy(src, src + cols, out);
+    std::fill(out + cols, out + nh, Cplx(0.0, 0.0));
+  }
 }
 
 void Fft2D::half_inverse_impl(std::span<const Cplx> hspec, std::span<double> grid,
                               std::size_t kcut) const {
   TURBDA_SPAN("fft.half_inverse");
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
   TURBDA_REQUIRE(grid.size() == n0_ * n1_ && hspec.size() == half_size(),
                  "inverse_half: wrong buffer sizes (" << grid.size() << ", " << hspec.size()
                                                       << ")");
-  real_inverse_rows(hspec.data(), half_cols(), std::min(kcut, n1_ / 2) + 1, grid);
-}
-
-// ---------------------------------------------------------------------------
-// Batched pruned half-spectrum transforms: one pool fan-out over the whole
-// batch, each worker running complete per-field transforms. Field-granular
-// dispatch deliberately preserves the single-field cache pipeline — a
-// field's row step and column pass stay hot in that worker's scratch (a
-// fused per-stage sweep over all fields was measured ~8% slower serially at
-// n=128: it streams the whole batch between stages). Serially this is
-// exactly `count` single-field calls; threaded, the grain is whole fields
-// instead of row ranges, and the nested per-field fan-out degrades
-// gracefully to serial inside workers.
-// ---------------------------------------------------------------------------
-
-void Fft2D::forward_half_pruned_batch(std::span<const double* const> grids,
-                                      std::span<Cplx* const> hspecs, std::size_t kcut) const {
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
-  TURBDA_REQUIRE(grids.size() == hspecs.size(),
-                 "forward_half_pruned_batch: " << grids.size() << " grids vs " << hspecs.size()
-                                               << " spectra");
-  run_partitioned(grids.size(), /*min_grain=*/1, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t f = b; f < e; ++f)
-      half_forward_impl(std::span<const double>(grids[f], n0_ * n1_),
-                        std::span<Cplx>(hspecs[f], half_size()), kcut);
-  });
-}
-
-void Fft2D::inverse_half_pruned_batch(std::span<const Cplx* const> hspecs,
-                                      std::span<double* const> grids, std::size_t kcut) const {
-  TURBDA_REQUIRE(rrow_, "half-spectrum API requires n1 >= 2, plan is " << n0_ << "x" << n1_);
-  TURBDA_REQUIRE(grids.size() == hspecs.size(),
-                 "inverse_half_pruned_batch: " << hspecs.size() << " spectra vs " << grids.size()
-                                               << " grids");
-  run_partitioned(hspecs.size(), /*min_grain=*/1, threads_, [&](std::size_t b, std::size_t e) {
-    for (std::size_t f = b; f < e; ++f)
-      half_inverse_impl(std::span<const Cplx>(hspecs[f], half_size()),
-                        std::span<double>(grids[f], n0_ * n1_), kcut);
-  });
+  real_inverse_rows(hspec.data(), std::min(kcut, n1_ / 2) + 1, grid);
 }
 
 void Fft2D::forward_half(std::span<const double> grid, std::span<Cplx> hspec) const {

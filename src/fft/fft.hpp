@@ -11,15 +11,14 @@
 // stage down the columns in place, two columns per SIMD vector with one
 // broadcast twiddle per row pair. Each element sees exactly the arithmetic of
 // the 1-D transform of its column, so the result is bitwise that of a
-// transpose + per-column Fft1D. Rows and column vectors are disjoint, so both
-// steps optionally fan out over the process thread pool with bitwise
-// thread-count-invariant results. Convention matches numpy: forward
+// transpose + per-column Fft1D. Every transform runs serially on the calling
+// thread: the ensemble forecast parallelizes across members, which are
+// independent, never inside one transform. Convention matches numpy: forward
 // unnormalized, inverse carries the 1/N factor — so does the sqgturb
 // reference implementation the paper follows.
 #pragma once
 
 #include <complex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,17 +98,12 @@ class Rfft1D {
   std::vector<Cplx> w_;  // exp(-2πi k / n), k <= n/4
 };
 
-/// 2-D FFT plan over row-major (n0 x n1) arrays. Real grids have two spectrum
-/// layouts at the API:
-///
-///  - forward_real/inverse_real keep the full Hermitian-redundant (n0 x n1)
-///    complex layout (legacy; half of it is derivable from the other half);
-///  - forward_half/inverse_half use the packed non-redundant half spectrum:
-///    row-major n0 x (n1/2 + 1), where bin (i, j) holds wavenumber
-///    (my, mx) with my = i for i <= n0/2 else i - n0, and mx = j >= 0. The
-///    mirrored bins follow from X(-my, -mx) = conj(X(my, mx)). This is the
-///    layout the SQG solver stores its state in: half the memory and half
-///    the pointwise work of the full layout.
+/// 2-D real FFT plan over row-major (n0 x n1) grids (n1 >= 2: rows go
+/// through the r2c transform). Spectra use the packed non-redundant half
+/// layout: row-major n0 x (n1/2 + 1), where bin (i, j) holds wavenumber
+/// (my, mx) with my = i for i <= n0/2 else i - n0, and mx = j >= 0. The
+/// mirrored bins follow from X(-my, -mx) = conj(X(my, mx)). This is the
+/// layout the SQG solver stores its state in.
 ///
 /// The *_pruned variants additionally exploit a square spectral truncation
 /// |mx| <= kcut, |my| <= kcut (the SQG 2/3 dealias rule): the column pass
@@ -129,32 +123,12 @@ class Fft2D {
   [[nodiscard]] std::size_t half_cols() const { return n1_ / 2 + 1; }
   [[nodiscard]] std::size_t half_size() const { return n0_ * half_cols(); }
 
-  /// Worker-thread cap for the row step and the column pass: 1 = serial
-  /// (default), 0 = all pool workers. Any value yields bitwise-identical
-  /// results (disjoint rows and column vectors; per-element work is
-  /// partition-invariant).
-  void set_max_threads(std::size_t max_threads) { threads_ = max_threads; }
-  [[nodiscard]] std::size_t max_threads() const { return threads_; }
-
-  void forward(std::span<Cplx> x) const;
-  void inverse(std::span<Cplx> x) const;
-
-  /// Real grid -> full complex spectrum (Hermitian-redundant layout).
-  void forward_real(std::span<const double> grid, std::span<Cplx> spec) const;
-
-  /// Complex spectrum -> real grid. `spec` must be (numerically) Hermitian —
-  /// i.e. the transform of a real field, possibly scaled by real or
-  /// conjugate-symmetric spectral factors; only the non-redundant half is
-  /// read.
-  void inverse_real(std::span<const Cplx> spec, std::span<double> grid) const;
-
   /// Real grid -> packed half spectrum (n0 x (n1/2+1), layout above).
-  /// Requires n1 >= 2 (rows go through the r2c transform).
   void forward_half(std::span<const double> grid, std::span<Cplx> hspec) const;
 
-  /// Packed half spectrum -> real grid. Like inverse_real, `hspec` must be
-  /// the (possibly conjugate-symmetrically scaled) half spectrum of a real
-  /// field; `hspec` is not modified.
+  /// Packed half spectrum -> real grid. `hspec` must be the (possibly
+  /// conjugate-symmetrically scaled) half spectrum of a real field; it is
+  /// not modified.
   void inverse_half(std::span<const Cplx> hspec, std::span<double> grid) const;
 
   /// As forward_half, but computes only the bins with |mx| <= kcut and
@@ -172,48 +146,24 @@ class Fft2D {
   void inverse_half_pruned(std::span<const Cplx> hspec, std::span<double> grid,
                            std::size_t kcut) const;
 
-  /// Batched pruned half-spectrum transforms: the transform above applied to
-  /// `grids.size()` independent field pairs through a single pool fan-out,
-  /// each worker running complete per-field transforms (field-granular
-  /// dispatch keeps every field's row step and column pass hot in its
-  /// worker's scratch — see the implementation note). This is the
-  /// ensemble-block shape: the SQG batched member step funnels every
-  /// member's derivative fields through one call. Each pointer addresses a
-  /// full n0*n1 real grid / half_size() spectrum; per-field results are
-  /// bitwise identical to the corresponding single-field call for any
-  /// thread count.
-  void forward_half_pruned_batch(std::span<const double* const> grids,
-                                 std::span<Cplx* const> hspecs, std::size_t kcut) const;
-  void inverse_half_pruned_batch(std::span<const Cplx* const> hspecs,
-                                 std::span<double* const> grids, std::size_t kcut) const;
-
  private:
-  /// Complex 2-D transform of the row-major n0 x n1 array `src` into the
-  /// per-thread scratch (row stride scratch_ld(n1)), which it returns.
-  const Cplx* transform2d(const Cplx* src, bool inverse) const;
   /// Rows r2c into the per-thread scratch (bit-reversed row order, row
   /// stride scratch_ld(half_cols())), then the forward column pass over the
   /// first `cols` columns. Returns the scratch, n0 x half_cols() in natural
   /// order; only the first `cols` columns are transformed.
   const Cplx* real_forward_rows(std::span<const double> grid, std::size_t cols) const;
-  /// Gathers columns [0, cols) of the half spectrum `spec` (row stride
-  /// `spec_ld`) into the scratch in bit-reversed row order, runs the inverse
-  /// column pass, zeroes columns [cols, half_cols()) and runs the rows c2r
-  /// into `grid`.
-  void real_inverse_rows(const Cplx* spec, std::size_t spec_ld, std::size_t cols,
-                         std::span<double> grid) const;
-  /// Column transforms over columns [0, width) of a scratch block (row
-  /// stride ld, width even), column vectors split across the thread cap.
-  void column_pass(Cplx* rows, std::size_t ld, std::size_t width, bool inverse) const;
+  /// Gathers columns [0, cols) of the half spectrum into the scratch in
+  /// bit-reversed row order, runs the inverse column pass, zeroes columns
+  /// [cols, half_cols()) and runs the rows c2r into `grid`.
+  void real_inverse_rows(const Cplx* hspec, std::size_t cols, std::span<double> grid) const;
   void half_forward_impl(std::span<const double> grid, std::span<Cplx> hspec,
                          std::size_t kcut) const;
   void half_inverse_impl(std::span<const Cplx> hspec, std::span<double> grid,
                          std::size_t kcut) const;
 
   std::size_t n0_, n1_;
-  std::size_t threads_ = 1;
-  Fft1D row_, col_;
-  std::optional<Rfft1D> rrow_;  // present when n1 >= 2
+  Fft1D col_;
+  Rfft1D rrow_;
 };
 
 }  // namespace turbda::fft

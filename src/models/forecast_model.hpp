@@ -9,6 +9,8 @@
 #include <span>
 #include <string>
 
+#include "common/check.hpp"
+
 namespace turbda::models {
 
 class ForecastModel {
@@ -23,11 +25,13 @@ class ForecastModel {
 
   /// Advance `count` states stored contiguously (count x dim(), row-major —
   /// the Ensemble member layout) in place over one assimilation window.
-  /// Must be bitwise identical to calling forecast() on each row in order
-  /// (the cycling drivers hand each worker thread a member *block* through
-  /// this entry point); models override it to batch cross-member work — the
-  /// SQG core fuses the block's spectral transforms into shared sweeps.
+  /// The cycling drivers hand each worker thread a member *block* through
+  /// this entry point. An override must stay bitwise identical to calling
+  /// forecast() on each row in order, which is all the default does.
   virtual void forecast_batch(std::span<double> states, std::size_t count) {
+    TURBDA_REQUIRE(states.size() == count * dim(),
+                   "forecast_batch: state block size " << states.size() << " != " << count
+                                                       << " x " << dim());
     for (std::size_t i = 0; i < count; ++i) forecast(states.subspan(i * dim(), dim()));
   }
 

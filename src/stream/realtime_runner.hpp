@@ -225,8 +225,7 @@ class RealtimeRunner {
   /// serial==overlapped invariant cannot drift apart. Each worker thread
   /// owns one block: the forecast goes through the model's batched entry
   /// point (ForecastModel::forecast_batch, bitwise identical to the
-  /// member-sequential loop), so batching-capable models amortize
-  /// transforms across the block.
+  /// member-sequential loop).
   void forecast_block(int cycle, std::size_t b, std::size_t e,
                       const std::vector<double>& shared_err);
   void forecast_members(int cycle);

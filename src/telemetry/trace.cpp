@@ -20,7 +20,7 @@ std::int64_t clock_ns() {
       .count();
 }
 
-constexpr std::size_t kDefaultCapacity = 1u << 15;  ///< spans per thread (1 MiB)
+constexpr std::size_t kDefaultCapacity = 1u << 15;  ///< spans per thread (1.25 MiB)
 
 /// JSON string escaping for span names and thread labels. Names are string
 /// literals under our control, but a stray quote must not corrupt the file.
@@ -40,15 +40,29 @@ void append_escaped(std::string& out, const char* s) {
 
 }  // namespace
 
+/// One ring slot, guarded by a sequence stamp: `seq` is i + 1 while the slot
+/// holds record i in full, and 0 while the owner is overwriting it. Every
+/// field is an atomic, so a reader racing the owner never performs a data
+/// race; the stamp tells it whether what it copied is one whole record.
+struct TraceSlot {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<const char*> name{nullptr};
+  std::atomic<std::uint64_t> t0_ns{0};
+  std::atomic<std::uint64_t> dur_ns{0};
+  std::atomic<std::uint32_t> depth{0};
+  std::atomic<bool> instant{false};
+};
+
 /// Per-thread single-producer span ring. The owning thread writes records
 /// and bumps `head` with release order; snapshot readers load `head` with
-/// acquire and copy the surviving window. `depth` is touched only by the
-/// owner.
+/// acquire and copy the surviving window, keeping a slot only if its stamp
+/// shows the expected record both before and after the copy. `depth` is
+/// touched only by the owner.
 struct TraceCollector::Buf {
   explicit Buf(std::size_t cap, std::uint32_t tid_, std::string label_)
       : ring(cap), tid(tid_), label(std::move(label_)) {}
 
-  std::vector<SpanRecord> ring;
+  std::vector<TraceSlot> ring;
   std::atomic<std::uint64_t> head{0};  ///< records ever pushed
   std::uint32_t tid;
   std::string label;
@@ -121,7 +135,17 @@ TraceCollector::Buf& TraceCollector::local_buf() {
 
 void TraceCollector::push(Buf& b, const SpanRecord& rec) {
   const std::uint64_t h = b.head.load(std::memory_order_relaxed);
-  b.ring[h % b.ring.size()] = rec;
+  TraceSlot& s = b.ring[h % b.ring.size()];
+  // Clear the stamp first. The field stores are release, so a reader whose
+  // acquire load sees any new field value also sees this clear (or the new
+  // stamp) on its second stamp read, never the old record's stamp.
+  s.seq.store(0, std::memory_order_relaxed);
+  s.name.store(rec.name, std::memory_order_release);
+  s.t0_ns.store(rec.t0_ns, std::memory_order_release);
+  s.dur_ns.store(rec.dur_ns, std::memory_order_release);
+  s.depth.store(rec.depth, std::memory_order_release);
+  s.instant.store(rec.instant, std::memory_order_release);
+  s.seq.store(h + 1, std::memory_order_release);
   b.head.store(h + 1, std::memory_order_release);
 }
 
@@ -150,10 +174,20 @@ std::vector<ThreadTrace> TraceCollector::snapshot() const {
     const std::uint64_t head = b->head.load(std::memory_order_acquire);
     const std::uint64_t cap = b->ring.size();
     const std::uint64_t avail = std::min(head, cap);
-    tt.dropped = head - avail;
     tt.spans.reserve(static_cast<std::size_t>(avail));
-    for (std::uint64_t i = head - avail; i < head; ++i)
-      tt.spans.push_back(b->ring[i % cap]);
+    for (std::uint64_t i = head - avail; i < head; ++i) {
+      const TraceSlot& s = b->ring[i % cap];
+      if (s.seq.load(std::memory_order_acquire) != i + 1) continue;  // already overwritten
+      SpanRecord rec;
+      rec.name = s.name.load(std::memory_order_acquire);
+      rec.t0_ns = s.t0_ns.load(std::memory_order_acquire);
+      rec.dur_ns = s.dur_ns.load(std::memory_order_acquire);
+      rec.depth = s.depth.load(std::memory_order_acquire);
+      rec.instant = s.instant.load(std::memory_order_acquire);
+      if (s.seq.load(std::memory_order_relaxed) != i + 1) continue;  // torn by a wrapping writer
+      tt.spans.push_back(rec);
+    }
+    tt.dropped = head - tt.spans.size();
     out.push_back(std::move(tt));
   }
   return out;

@@ -29,9 +29,9 @@
 //   TURBDA_TRACE_INSTANT("status.deadline_miss");
 //   telemetry::TraceCollector::instance().write_chrome_trace("trace.json");
 //
-// Snapshots are meant for quiescent points (between runs, after
-// joining/idling worker threads): a snapshot taken while a wrapped ring is
-// actively being overwritten may observe a torn oldest record. clear() is
+// Snapshots may run while other threads record: each ring slot carries a
+// sequence stamp, and a record that a wrapping writer overwrites during the
+// copy is skipped and counted as dropped, never returned torn. clear() is
 // safe against spans still closing on other threads: it retires rings from
 // the registry instead of freeing them, and each ring is freed by its own
 // thread (at its next registration or exit), never under a writer.
@@ -73,7 +73,7 @@ struct SpanRecord {
 struct ThreadTrace {
   std::uint32_t tid = 0;     ///< stable per-registration small id
   std::string label;         ///< "main", "pool-worker-3", ...
-  std::uint64_t dropped = 0; ///< spans overwritten by ring wrap-around
+  std::uint64_t dropped = 0; ///< spans lost to ring wrap-around (incl. mid-snapshot)
   std::vector<SpanRecord> spans;
 };
 

@@ -150,29 +150,6 @@ TEST(Determinism, EnsfMinibatchIndependentOfThreadCount) {
   }
 }
 
-TEST(Determinism, SqgStepIndependentOfFftThreadCount) {
-  // The 2-D transform fans row/column batches out over the pool; disjoint
-  // rows with partition-invariant per-row work must make a full RK4 step —
-  // and the FFT-based random_init — bitwise thread-count independent.
-  auto run_steps = [](std::size_t n_fft_threads) {
-    sqg::SqgConfig cfg;
-    cfg.n = 32;
-    cfg.n_fft_threads = n_fft_threads;
-    sqg::SqgModel model(cfg);
-    rng::Rng rng(4242);
-    std::vector<double> theta(model.dim());
-    model.random_init(theta, rng, 1.0, 4);
-    model.step(theta, 3);
-    return theta;
-  };
-  const auto ref = run_steps(1);
-  for (std::size_t nt : thread_counts()) {
-    const auto got = run_steps(nt);
-    EXPECT_EQ(0, std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)))
-        << nt << " FFT threads";
-  }
-}
-
 TEST(Determinism, EnsembleForecastIndependentOfThreadCount) {
   // Member-parallel OSSE forecasts (with per-member counter-based model
   // error) must reproduce the serial member loop bitwise.

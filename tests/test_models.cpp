@@ -72,6 +72,16 @@ TEST(Lorenz96, ForecastRunsConfiguredSteps) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
+TEST(Lorenz96, ForecastBatchRejectsWrongBlockSize) {
+  Lorenz96Config cfg;
+  cfg.dim = 12;
+  Lorenz96 model(cfg);
+  std::vector<double> block(3 * cfg.dim - 1, cfg.forcing);
+  EXPECT_THROW(model.forecast_batch(block, 3), Error);
+  block.resize(3 * cfg.dim, cfg.forcing);
+  EXPECT_NO_THROW(model.forecast_batch(block, 3));
+}
+
 TEST(Lorenz96, RejectsTinyDimension) {
   Lorenz96Config cfg;
   cfg.dim = 3;

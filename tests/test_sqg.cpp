@@ -5,11 +5,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "common/math_utils.hpp"
-#include "fft/fft.hpp"
+#include "fft_oracle.hpp"
 #include "rng/rng.hpp"
 #include "sqg/sqg.hpp"
 
@@ -320,13 +321,14 @@ TEST(Sqg, ExplicitWorkspaceMatchesPerThreadDefault) {
 
 // --- half-spectrum vs full-spectrum path equivalence -------------------------
 // Reference implementation on the full Hermitian-redundant n x n spectrum,
-// replicating the pre-half-spectrum solver path: dense complex transforms,
-// five separate per-point passes and explicit dealias/Ekman branches. The
-// production half-spectrum path computes the same dynamics through different
-// arithmetic and must agree to ~machine precision.
+// replicating the pre-half-spectrum solver path: dense complex transforms
+// (the test-only oracles of fft_oracle.hpp), five separate per-point passes
+// and explicit dealias/Ekman branches. The production half-spectrum path
+// computes the same dynamics through different arithmetic and must agree to
+// ~machine precision.
 struct FullSpectrumReference {
   explicit FullSpectrumReference(const SqgConfig& c)
-      : cfg(c), n(c.n), nn(n * n), fft(n, n), kx(nn), ky(nn), ksq(nn), inv_kappa(nn),
+      : cfg(c), n(c.n), nn(n * n), kx(nn), ky(nn), ksq(nn), inv_kappa(nn),
         inv_sinh(nn), inv_tanh(nn), hyperdiff(nn), dealias(nn), psi(2 * nn), work(nn), jac(nn),
         gu(nn), gv(nn), gtx(nn), gty(nn), gj(nn), k1(2 * nn), k2(2 * nn), k3(2 * nn), k4(2 * nn),
         stage(2 * nn), spec(2 * nn) {
@@ -365,9 +367,11 @@ struct FullSpectrumReference {
   }
 
   void to_spectral(std::span<const double> grid, std::span<Cplx> out) {
-    for (int l = 0; l < 2; ++l)
-      fft.forward_real(grid.subspan(static_cast<std::size_t>(l) * nn, nn),
-                       out.subspan(static_cast<std::size_t>(l) * nn, nn));
+    for (std::size_t l = 0; l < 2; ++l) {
+      const auto level = grid.subspan(l * nn, nn);
+      const auto spec = fft::oracle::forward_full({level.begin(), level.end()}, n, n);
+      std::copy(spec.begin(), spec.end(), out.begin() + static_cast<long>(l * nn));
+    }
     for (std::size_t i = 0; i < 2 * nn; ++i)
       if (!dealias[i % nn]) out[i] = Cplx(0.0, 0.0);
   }
@@ -386,19 +390,19 @@ struct FullSpectrumReference {
       Cplx* dth = out.data() + l * nn;
       const Cplx iu(0.0, 1.0);
       for (std::size_t p = 0; p < nn; ++p) work[p] = -ps[p] * Cplx(kx[p], ky[p]);
-      fft.inverse(work);
+      work = fft::oracle::complex2d(std::move(work), n, n, /*inverse=*/true);
       for (std::size_t p = 0; p < nn; ++p) {
         gu[p] = work[p].real();
         gv[p] = work[p].imag();
       }
       for (std::size_t p = 0; p < nn; ++p) work[p] = th[p] * Cplx(-ky[p], kx[p]);
-      fft.inverse(work);
+      work = fft::oracle::complex2d(std::move(work), n, n, /*inverse=*/true);
       for (std::size_t p = 0; p < nn; ++p) {
         gtx[p] = work[p].real();
         gty[p] = work[p].imag();
       }
       for (std::size_t p = 0; p < nn; ++p) gj[p] = gu[p] * gtx[p] + gv[p] * gty[p];
-      fft.forward_real(gj, jac);
+      jac = fft::oracle::forward_full(gj, n, n);
       const double ub = ubar[l];
       for (std::size_t p = 0; p < nn; ++p) {
         Cplx t = dealias[p] ? -jac[p] : Cplx(0.0, 0.0);
@@ -426,14 +430,16 @@ struct FullSpectrumReference {
         spec[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
       for (std::size_t i = 0; i < 2 * nn; ++i) spec[i] *= hyperdiff[i % nn];
     }
-    for (int l = 0; l < 2; ++l)
-      fft.inverse_real(std::span<const Cplx>(spec).subspan(static_cast<std::size_t>(l) * nn, nn),
-                       grid.subspan(static_cast<std::size_t>(l) * nn, nn));
+    for (std::size_t l = 0; l < 2; ++l) {
+      const std::vector<Cplx> level(spec.begin() + static_cast<long>(l * nn),
+                                    spec.begin() + static_cast<long>((l + 1) * nn));
+      const auto g = fft::oracle::inverse_half(level, /*ld=*/n, n, n, /*kcut=*/n);
+      std::copy(g.begin(), g.end(), grid.begin() + static_cast<long>(l * nn));
+    }
   }
 
   SqgConfig cfg;
   std::size_t n, nn;
-  fft::Fft2D fft;
   std::vector<double> kx, ky, ksq, inv_kappa, inv_sinh, inv_tanh, hyperdiff;
   std::vector<std::uint8_t> dealias;
   std::vector<Cplx> psi, work, jac;
@@ -510,94 +516,34 @@ TEST(Sqg, StepPerformsNoPerStepHeapAllocations) {
   EXPECT_EQ(allocs, 0u) << "step() performed " << allocs << " heap allocations";
 }
 
-TEST(Sqg, StepBatchMatchesSequentialStepBitwise) {
-  // The batched member step must be bitwise identical to M sequential
-  // step() calls for every batch block size and FFT thread count — the
-  // invariant the forecast drivers' block fan-out relies on.
-  const std::size_t n = 32, M = 5;
-  SqgConfig ref_cfg;
-  ref_cfg.n = n;
-  SqgModel ref_model(ref_cfg);
-  Rng rng(97);
-  std::vector<double> theta(ref_model.dim());
-  ref_model.random_init(theta, rng, 1.0, 4);
-
-  std::vector<double> block0(M * ref_model.dim());
-  for (std::size_t m = 0; m < M; ++m)
-    for (std::size_t i = 0; i < ref_model.dim(); ++i)
-      block0[m * ref_model.dim() + i] = theta[i] * (1.0 + 1e-6 * static_cast<double>(m));
-
-  std::vector<double> ref = block0;
-  SqgWorkspace ws(n);
-  for (std::size_t m = 0; m < M; ++m)
-    ref_model.step(std::span<double>(ref.data() + m * ref_model.dim(), ref_model.dim()), 3, ws);
-
-  for (const std::size_t blk : {std::size_t{1}, std::size_t{2}, std::size_t{4}, M}) {
-    for (const std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-      SqgConfig cfg;
-      cfg.n = n;
-      cfg.batch_block = blk;
-      cfg.n_fft_threads = nt;
-      SqgModel model(cfg);
-      std::vector<double> batch = block0;
-      SqgBatchWorkspace bws(n, std::min(M, blk));
-      model.step_batch(batch, M, 3, bws);
-      EXPECT_EQ(0, std::memcmp(batch.data(), ref.data(), batch.size() * sizeof(double)))
-          << "batch_block=" << blk << " fft_threads=" << nt;
-    }
-  }
-}
-
-TEST(Sqg, AdvanceBatchMatchesSequentialAdvance) {
-  const std::size_t n = 16, M = 3;
-  SqgConfig cfg;
-  cfg.n = n;
-  SqgModel model(cfg);
-  Rng rng(98);
-  std::vector<double> theta(model.dim());
-  model.random_init(theta, rng, 1.0, 3);
-  std::vector<double> block(M * model.dim()), ref(M * model.dim());
-  for (std::size_t m = 0; m < M; ++m)
-    for (std::size_t i = 0; i < model.dim(); ++i)
-      ref[m * model.dim() + i] = block[m * model.dim() + i] =
-          theta[i] * (1.0 + 1e-5 * static_cast<double>(m));
-  const double seconds = 2.5 * cfg.dt;  // rounds up to 3 steps
-  SqgWorkspace ws(n);
-  for (std::size_t m = 0; m < M; ++m)
-    model.advance(std::span<double>(ref.data() + m * model.dim(), model.dim()), seconds, ws);
-  model.advance_batch(block, M, seconds);
-  EXPECT_EQ(0, std::memcmp(block.data(), ref.data(), block.size() * sizeof(double)));
-}
-
-TEST(Sqg, StepBatchRejectsWrongBlockSize) {
+TEST(Sqg, ForecastBatchRejectsWrongBlockSize) {
   SqgConfig cfg;
   cfg.n = 16;
-  SqgModel model(cfg);
-  std::vector<double> block(3 * model.dim() - 1);
-  SqgBatchWorkspace ws(cfg.n, 2);
-  EXPECT_THROW(model.step_batch(block, 3, 1, ws), Error);
+  SqgForecast fcst(std::make_shared<const SqgModel>(cfg), cfg.dt);
+  std::vector<double> block(3 * fcst.dim() - 1);
+  EXPECT_THROW(fcst.forecast_batch(block, 3), Error);
+  EXPECT_THROW(fcst.forecast_batch(std::span<double>(block).first(2 * fcst.dim()), 3), Error);
 }
 
-TEST(Sqg, StepBatchPerformsNoPerStepHeapAllocations) {
-  // The zero-allocation contract extends to the batched path: after one
-  // warm-up call has sized the batch workspace, its pointer tables and the
-  // per-thread FFT scratch, stepping a member block allocates nothing.
+TEST(Sqg, ForecastBatchPerformsNoHeapAllocations) {
+  // The contract the cycling runners rely on: once one warm-up window has
+  // grown the per-thread workspace and FFT scratch, forecasting a member
+  // block allocates nothing.
   SqgConfig cfg = inviscid_config(32);
-  cfg.batch_block = 2;  // M = 5 exercises full and partial sub-blocks
-  SqgModel model(cfg);
+  auto model = std::make_shared<const SqgModel>(cfg);
+  SqgForecast fcst(model, 3 * cfg.dt);
   Rng rng(92);
   const std::size_t M = 5;
-  std::vector<double> theta(model.dim());
-  model.random_init(theta, rng, 1.0, 4);
-  std::vector<double> block(M * model.dim());
+  std::vector<double> theta(model->dim());
+  model->random_init(theta, rng, 1.0, 4);
+  std::vector<double> block(M * model->dim());
   for (std::size_t m = 0; m < M; ++m)
-    std::copy(theta.begin(), theta.end(), block.begin() + static_cast<long>(m * model.dim()));
-  SqgBatchWorkspace ws(cfg.n, cfg.batch_block);
-  model.step_batch(block, M, 2, ws);  // warm-up
+    std::copy(theta.begin(), theta.end(), block.begin() + static_cast<long>(m * model->dim()));
+  fcst.forecast_batch(block, M);  // warm-up
   const std::uint64_t before = g_new_calls.load();
-  model.step_batch(block, M, 5, ws);
+  fcst.forecast_batch(block, M);
   const std::uint64_t allocs = g_new_calls.load() - before;
-  EXPECT_EQ(allocs, 0u) << "step_batch() performed " << allocs << " heap allocations";
+  EXPECT_EQ(allocs, 0u) << "forecast_batch() performed " << allocs << " heap allocations";
 }
 
 TEST(Sqg, RejectsBadConfig) {

@@ -159,6 +159,54 @@ TEST(Trace, RingWrapKeepsNewestAndCountsDropped) {
   reset_tracing();  // restore the default ring size for later tests
 }
 
+TEST(Trace, SnapshotDuringWrapNeverReturnsTornRecords) {
+  // A writer wraps a tiny ring while the main thread snapshots in a loop.
+  // Record k carries t0 == dur == k, so a record mixing two writes shows up
+  // as t0 != dur, and a stale one as a sequence index outside the window of
+  // the ring the snapshot saw (head - capacity, head].
+  constexpr std::uint64_t kCapacity = 8, kRecords = 500000;
+  reset_tracing(kCapacity);
+  auto& tc = TraceCollector::instance();
+  tc.enable();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    telemetry::set_thread_label("wrap-writer");
+    for (std::uint64_t k = 0; k < kRecords; ++k) tc.complete("wrap.record", k, k);
+    done.store(true, std::memory_order_release);
+  });
+
+  // Returns the writer's head as the snapshot saw it; checks stop at the
+  // first inconsistent record.
+  std::uint64_t checked = 0, bad = 0;
+  const auto check = [&](const telemetry::ThreadTrace& tt) {
+    const std::uint64_t head = tt.dropped + tt.spans.size();
+    for (std::size_t j = 0; j < tt.spans.size() && bad == 0; ++j) {
+      const auto& s = tt.spans[j];
+      const bool ok = std::strcmp(s.name, "wrap.record") == 0 && s.t0_ns == s.dur_ns &&
+                      !s.instant && s.depth == 0 && s.t0_ns < head &&
+                      s.t0_ns + kCapacity >= head && (j == 0 || s.t0_ns > tt.spans[j - 1].t0_ns);
+      EXPECT_TRUE(ok) << "record " << j << " of " << tt.spans.size() << ": t0 " << s.t0_ns
+                      << " dur " << s.dur_ns << " head " << head;
+      bad += ok ? 0 : 1;
+      ++checked;
+    }
+    return head;
+  };
+  std::uint64_t head = 0;
+  while (!done.load(std::memory_order_acquire) && bad == 0) {
+    for (const auto& tt : tc.snapshot())
+      if (tt.label == "wrap-writer") head = check(tt);
+  }
+  writer.join();
+  tc.disable();
+  for (const auto& tt : tc.snapshot())
+    if (tt.label == "wrap-writer") head = check(tt);
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(head, kRecords);  // the quiescent ring keeps the newest kCapacity
+  EXPECT_GE(checked, kCapacity);
+  reset_tracing();  // restore the default ring size for later tests
+}
+
 TEST(Trace, ChromeJsonCarriesEventsAndThreadMetadata) {
   reset_tracing();
   auto& tc = TraceCollector::instance();
