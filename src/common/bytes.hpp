@@ -2,15 +2,18 @@
 //
 // Every checkpointable component (Rng aside, which predates this helper and
 // carries its own fixed-size codec) appends itself to a byte vector through
-// these writers and parses itself back through Reader. Explicit per-byte
-// shifts make the encoding identical on any host, and Reader is fail-soft:
-// past-the-end reads latch a failure flag and return zeros instead of
-// touching out-of-range memory, so callers validate once at the end with
+// these writers and parses itself back through Reader. The encoding is
+// little-endian on any host: scalars go through explicit per-byte shifts, and
+// f64 arrays are copied in bulk on little-endian hosts (the in-memory bytes
+// already are the wire bytes) and shifted per element elsewhere. Reader is
+// fail-soft: past-the-end reads latch a failure flag and return zeros instead
+// of touching out-of-range memory, so callers validate once at the end with
 // ok() — corrupt input can never turn into UB, only into a refused restore.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,12 +38,31 @@ inline void put_f64(std::vector<std::uint8_t>& out, double v) {
 
 inline void put_f64_span(std::vector<std::uint8_t>& out, std::span<const double> v) {
   put_u64(out, v.size());
-  for (double x : v) put_f64(out, x);
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t at = out.size();
+    out.resize(at + v.size_bytes());
+    if (!v.empty()) std::memcpy(out.data() + at, v.data(), v.size_bytes());
+  } else {
+    for (double x : v) put_f64(out, x);
+  }
 }
 
 inline void put_blob(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> v) {
   put_u64(out, v.size());
   out.insert(out.end(), v.begin(), v.end());
+}
+
+/// Length-prefixed blob whose bytes `fill(out)` appends in place (no staging
+/// copy); the prefix is patched once the size is known. Returns fill's
+/// verdict — on false the buffer holds a partial blob and must be dropped.
+template <class Fill>
+bool put_blob_with(std::vector<std::uint8_t>& out, Fill&& fill) {
+  const std::size_t at = out.size();
+  put_u64(out, 0);
+  if (!fill(out)) return false;
+  const std::uint64_t n = out.size() - at - 8;
+  for (std::size_t i = 0; i < 8; ++i) out[at + i] = static_cast<std::uint8_t>(n >> (8 * i));
+  return true;
 }
 
 class Reader {
@@ -73,9 +95,17 @@ class Reader {
   /// Length-prefixed double vector; latches failure on absurd lengths.
   bool f64_vec(std::vector<double>& out) {
     const std::uint64_t n = u64();
-    if (!need(8 * n)) return false;
+    if (n > remaining() / 8) {  // not need(8 * n): that product can wrap
+      fail_ = true;
+      return false;
+    }
     out.resize(n);
-    for (auto& x : out) x = f64();
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n != 0) std::memcpy(out.data(), in_.data() + at_, 8 * n);
+      at_ += 8 * n;
+    } else {
+      for (auto& x : out) x = f64();
+    }
     return ok();
   }
 

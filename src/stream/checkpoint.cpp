@@ -1,6 +1,7 @@
 #include "stream/checkpoint.hpp"
 
 #include <array>
+#include <cstdio>
 #include <fstream>
 
 #include "common/bytes.hpp"
@@ -9,17 +10,28 @@ namespace turbda::stream {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: kCrc[0] is the classic byte table, and kCrc[k][b]
+/// is the CRC of byte b followed by k zero bytes, so eight input bytes fold
+/// into the register with eight independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr auto kCrc = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 void put_metrics(std::vector<std::uint8_t>& out, const StreamCycleMetrics& m) {
   bytes::put_i32(out, m.cycle);
@@ -85,63 +97,109 @@ void read_metrics(bytes::Reader& rd, StreamCycleMetrics& m) {
   m.ingest_queue_drops = rd.i32();
 }
 
+/// The v3 payload, in load_checkpoint's order.
+Status encode_payload(const CheckpointSource& src, std::vector<std::uint8_t>& out) {
+  bytes::put_u64(out, src.seed);
+  bytes::put_u64(out, src.n_members);
+  bytes::put_u64(out, src.dim);
+  bytes::put_i32(out, src.cycles);
+  out.push_back(src.schedule);
+  bytes::put_i32(out, src.overlap_depth);
+  bytes::put_i32(out, src.next_cycle);
+  bytes::put_u64(out, rng::Rng::kStateBytes);
+  src.rng_modelerr->save_state(out);
+  bytes::put_f64_span(out, src.ensemble);
+  out.push_back(src.have_increment ? 1 : 0);
+  bytes::put_f64_span(out, src.buf_prior);
+  bytes::put_f64_span(out, src.buf_post);
+  bytes::put_u64(out, src.ring.size());
+  for (const auto& s : src.ring) {
+    bytes::put_i32(out, s.cycle);
+    bytes::put_f64_span(out, s.prior);
+    bytes::put_f64_span(out, s.post);
+  }
+  bytes::put_blob(out, src.applied);
+  if (!bytes::put_blob_with(out, [&](std::vector<std::uint8_t>& o) {
+        return src.stream->save_state(o);
+      }))
+    return Status(StatusCode::kUnsupported, "stream does not support checkpointing");
+  if (!bytes::put_blob_with(out, [&](std::vector<std::uint8_t>& o) {
+        return src.filter == nullptr || src.filter->save_state(o);
+      }))
+    return Status(StatusCode::kUnsupported, "filter does not support checkpointing");
+  bytes::put_u64(out, src.metrics.size());
+  for (const auto& m : src.metrics) put_metrics(out, m);
+  return Status::Ok();
+}
+
+/// Writes `<path>.tmp`, then renames it over `path`: readers see the old
+/// file or the new one, never a torn one. A temp file this call created is
+/// removed on failure.
+Status write_file_atomic(const std::string& path, std::span<const std::uint8_t> file) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + tmp);
+    out.write(reinterpret_cast<const char*>(file.data()), static_cast<std::streamsize>(file.size()));
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return Status(StatusCode::kIoError, "checkpoint write failed: " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status(StatusCode::kIoError, "cannot replace checkpoint file: " + path);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^ kCrc[5][(lo >> 16) & 0xFFu] ^
+        kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
-Status save_checkpoint(const std::string& path, const CheckpointData& data) {
-  std::vector<std::uint8_t> payload;
-  bytes::put_u64(payload, data.seed);
-  bytes::put_u64(payload, data.n_members);
-  bytes::put_u64(payload, data.dim);
-  bytes::put_i32(payload, data.cycles);
-  payload.push_back(data.schedule);
-  bytes::put_i32(payload, data.overlap_depth);
-  bytes::put_i32(payload, data.next_cycle);
-  bytes::put_blob(payload, data.rng_modelerr);
-  bytes::put_f64_span(payload, data.ensemble);
-  payload.push_back(data.have_increment);
-  bytes::put_f64_span(payload, data.buf_prior);
-  bytes::put_f64_span(payload, data.buf_post);
-  bytes::put_u64(payload, data.ring.size());
-  for (const auto& s : data.ring) {
-    bytes::put_i32(payload, s.cycle);
-    bytes::put_f64_span(payload, s.prior);
-    bytes::put_f64_span(payload, s.post);
-  }
-  bytes::put_blob(payload, data.applied);
-  bytes::put_blob(payload, data.stream_state);
-  bytes::put_blob(payload, data.filter_state);
-  bytes::put_u64(payload, data.metrics.size());
-  for (const auto& m : data.metrics) put_metrics(payload, m);
-
-  std::vector<std::uint8_t> file;
-  file.reserve(payload.size() + 20);
-  bytes::put_u32(file, kCheckpointMagic);
-  bytes::put_u32(file, kCheckpointVersion);
-  bytes::put_u64(file, payload.size());
-  file.insert(file.end(), payload.begin(), payload.end());
-  bytes::put_u32(file, crc32(payload));
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + path);
-  out.write(reinterpret_cast<const char*>(file.data()), static_cast<std::streamsize>(file.size()));
-  out.flush();
-  if (!out) return Status(StatusCode::kIoError, "checkpoint write failed: " + path);
-  return Status::Ok();
+Status save_checkpoint(const std::string& path, const CheckpointSource& src,
+                       std::vector<std::uint8_t>& buf) {
+  // File image: magic, version, then the payload as one length-prefixed
+  // blob, then the CRC of the payload.
+  buf.clear();
+  bytes::put_u32(buf, kCheckpointMagic);
+  bytes::put_u32(buf, kCheckpointVersion);
+  Status st = Status::Ok();
+  if (!bytes::put_blob_with(buf, [&](std::vector<std::uint8_t>& out) {
+        st = encode_payload(src, out);
+        return st.ok();
+      }))
+    return st;
+  constexpr std::size_t kHeaderBytes = 16;
+  bytes::put_u32(buf, crc32(std::span<const std::uint8_t>(buf).subspan(kHeaderBytes)));
+  return write_file_atomic(path, buf);
 }
 
 Status load_checkpoint(const std::string& path, CheckpointData& data) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status(StatusCode::kIoError, "cannot open checkpoint file: " + path);
-  std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status(StatusCode::kIoError, "cannot size checkpoint file: " + path);
+  std::vector<std::uint8_t> file(static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(file.data()), size))
+    return Status(StatusCode::kIoError, "cannot read checkpoint file: " + path);
 
-  bytes::Reader rd(file);
+bytes::Reader rd(file);
   const std::uint32_t magic = rd.u32();
   if (!rd.ok()) return Status(StatusCode::kCorruptData, "checkpoint truncated: no header");
   if (magic != kCheckpointMagic)

@@ -345,69 +345,41 @@ void RealtimeRunner::maybe_checkpoint(int completed_cycle,
 
   TURBDA_SPAN("runner.checkpoint");
   const auto t_ckpt = Clock::now();
-  const auto record_elapsed = [&] {
-    if (!metrics.empty() && metrics.back().cycle == completed_cycle)
-      metrics.back().checkpoint_ms = ms_since(t_ckpt);
-    if (!checkpoint_status_.ok()) TURBDA_TRACE_INSTANT("status.checkpoint_failed");
-  };
-
-  const std::size_t d = forecast_model_.dim();
-  CheckpointData data;
-  data.seed = cfg_.seed;
-  data.n_members = cfg_.n_members;
-  data.dim = d;
-  data.cycles = cfg_.cycles;
-  data.schedule = static_cast<std::uint8_t>(cfg_.schedule);
-  data.overlap_depth = cfg_.overlap_depth;
-  data.next_cycle = next;
-  rng_modelerr_->save_state(data.rng_modelerr);
-  const double* ep = ens_->data().data();
-  data.ensemble.assign(ep, ep + cfg_.n_members * d);
+  CheckpointSource src;
+  src.seed = cfg_.seed;
+  src.n_members = cfg_.n_members;
+  src.dim = forecast_model_.dim();
+  src.cycles = cfg_.cycles;
+  src.schedule = static_cast<std::uint8_t>(cfg_.schedule);
+  src.overlap_depth = cfg_.overlap_depth;
+  src.next_cycle = next;
+  src.rng_modelerr = &*rng_modelerr_;
+  src.ensemble = ens_->data().flat();
   if (have_increment_) {
-    data.have_increment = 1;
-    const double* pp = buf_prior_->data().data();
-    const double* qp = buf_post_->data().data();
-    data.buf_prior.assign(pp, pp + cfg_.n_members * d);
-    data.buf_post.assign(qp, qp + cfg_.n_members * d);
+    src.have_increment = true;
+    src.buf_prior = buf_prior_->data().flat();
+    src.buf_post = buf_post_->data().flat();
   }
-  if (cfg_.schedule == Schedule::Overlapped && cfg_.overlap_depth > 1) {
-    // Completing (joining + merging — NOT applying) every in-flight slot is
-    // numerics-neutral: the uninterrupted run produces the exact same staged
-    // buffers, just later. It makes the serialized ring deterministic.
-    std::vector<StagedSlot*> pend;
-    for (auto& s : ring_)
-      if (s.pending) pend.push_back(&s);
-    std::sort(pend.begin(), pend.end(),
-              [](const StagedSlot* a, const StagedSlot* b) { return a->cycle < b->cycle; });
-    for (StagedSlot* s : pend) {
-      complete_slot(*s, metrics);
-      CheckpointData::StagedSlotData sd;
-      sd.cycle = s->cycle;
-      const double* pp = s->prior->data().data();
-      const double* qp = s->post->data().data();
-      sd.prior.assign(pp, pp + cfg_.n_members * d);
-      sd.post.assign(qp, qp + cfg_.n_members * d);
-      data.ring.push_back(std::move(sd));
+  // Every staged slot finished its analysis inside its own cycle; the ones
+  // not yet applied are serialized in staged order.
+  const int K = cfg_.overlap_depth;
+  if (!ring_.empty()) {
+    for (int c = std::max(next - K, 0); c < next; ++c) {
+      const StagedSlot& s = ring_[static_cast<std::size_t>(c % K)];
+      if (s.pending && s.cycle == c)
+        src.ring.push_back({c, s.prior->data().flat(), s.post->data().flat()});
     }
   }
-  data.applied = applied_;
-  if (!stream_.save_state(data.stream_state)) {
-    checkpoint_status_ =
-        Status(StatusCode::kUnsupported, "stream does not support checkpointing");
-    record_elapsed();
-    return;
-  }
-  if (filter_ != nullptr && !filter_->save_state(data.filter_state)) {
-    checkpoint_status_ =
-        Status(StatusCode::kUnsupported, "filter does not support checkpointing");
-    record_elapsed();
-    return;
-  }
-  data.metrics = metrics;
+  src.applied = applied_;
+  src.stream = &stream_;
+  src.filter = filter_;
+  src.metrics = metrics;
   // A failed snapshot write must never take down the service it protects:
   // record the Status and keep cycling.
-  checkpoint_status_ = save_checkpoint(cfg_.checkpoint_path, data);
-  record_elapsed();
+  checkpoint_status_ = save_checkpoint(cfg_.checkpoint_path, src, checkpoint_buf_);
+  if (!metrics.empty() && metrics.back().cycle == completed_cycle)
+    metrics.back().checkpoint_ms = ms_since(t_ckpt);
+  if (!checkpoint_status_.ok()) TURBDA_TRACE_INSTANT("status.checkpoint_failed");
 }
 
 std::vector<StreamCycleMetrics> RealtimeRunner::run(std::span<const double> base,
@@ -501,8 +473,8 @@ Status RealtimeRunner::resume(const std::string& path,
   }
   ring_.clear();
   if (deep) {
-    // Restored slots were completed (joined + metrics merged) before the
-    // save; they only await their application cycle.
+    // Restored slots hold finished analyses (their metrics are in the
+    // restored rows); they only await their application cycle.
     ring_.resize(static_cast<std::size_t>(cfg_.overlap_depth));
     for (const auto& sd : data.ring) {
       StagedSlot& s = ring_[static_cast<std::size_t>(sd.cycle % cfg_.overlap_depth)];
@@ -510,7 +482,6 @@ Status RealtimeRunner::resume(const std::string& path,
         return Status(StatusCode::kCorruptData, "checkpoint staged slots collide");
       s.cycle = sd.cycle;
       s.pending = true;
-      s.completed = true;
       s.prior.emplace(cfg_.n_members, d);
       s.post.emplace(cfg_.n_members, d);
       std::copy(sd.prior.begin(), sd.prior.end(), s.prior->data().data());
@@ -585,8 +556,56 @@ void RealtimeRunner::run_serial(int start_cycle, std::vector<StreamCycleMetrics>
   }
 }
 
-void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetrics>& metrics) {
+void RealtimeRunner::forecast_next_beside_analysis(int k, da::Ensemble* target,
+                                                   std::vector<ObsBatch>& batches,
+                                                   StreamCycleMetrics& cm) {
+  // The stream's producer and the member forecasts for k+1 go to the pool.
+  // Per-member work is partition-independent, so this stays bitwise
+  // identical for any pool size.
   auto& pool = parallel::global_pool();
+  const int k1 = k + 1;
+  const std::vector<double> shared_err = draw_shared_error(k1);
+
+  const auto t_fcst = Clock::now();
+  std::vector<std::future<void>> tasks;
+  tasks.push_back(pool.submit([this, k1] {
+    TURBDA_SPAN("stream.produce");
+    stream_.produce(k1);
+  }));
+  std::size_t par = std::max<std::size_t>(pool.size(), 1);
+  if (cfg_.n_forecast_threads != 0) par = std::min(par, cfg_.n_forecast_threads);
+  if (!forecast_model_.concurrent_safe()) par = 1;
+  par = std::min(par, cfg_.n_members);
+  const std::size_t chunk = (cfg_.n_members + par - 1) / par;
+  for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
+    const std::size_t e = std::min(b + chunk, cfg_.n_members);
+    tasks.push_back(pool.submit(
+        [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
+  }
+
+  // Inline analysis on the caller thread: its internal parallel_for
+  // interleaves with the forecast tasks on the shared pool. A failure on
+  // either side is rethrown only once every task has been joined.
+  std::exception_ptr err;
+  if (target != nullptr) {
+    try {
+      assimilate_batches(*target, batches, k, cm);
+    } catch (...) {
+      err = std::current_exception();
+    }
+  }
+  for (auto& t : tasks) {
+    try {
+      t.get();
+    } catch (...) {
+      if (!err) err = std::current_exception();
+    }
+  }
+  if (err) std::rethrow_exception(err);
+  cm.forecast_ms = ms_since(t_fcst);
+}
+
+void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetrics>& metrics) {
   metrics.reserve(static_cast<std::size_t>(cfg_.cycles));
 
   // Prologue: nothing to overlap with yet — produce and forecast window 0.
@@ -678,51 +697,10 @@ void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetr
       }
     }
 
-    // ...then fan the next window out over the pool: the stream's producer
-    // and the member forecasts for k+1 run concurrently with the analysis
-    // below. Per-member work is partition-independent, so this stays
-    // bitwise identical for any pool size.
-    const int k1 = k + 1;
-    const std::vector<double> shared_err = draw_shared_error(k1);
-
-    const auto t_fcst = Clock::now();
-    std::vector<std::future<void>> tasks;
-    tasks.push_back(pool.submit([this, k1] {
-      TURBDA_SPAN("stream.produce");
-      stream_.produce(k1);
-    }));
-    std::size_t par = std::max<std::size_t>(pool.size(), 1);
-    if (cfg_.n_forecast_threads != 0) par = std::min(par, cfg_.n_forecast_threads);
-    if (!forecast_model_.concurrent_safe()) par = 1;
-    par = std::min(par, cfg_.n_members);
-    const std::size_t chunk = (cfg_.n_members + par - 1) / par;
-    for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
-      const std::size_t e = std::min(b + chunk, cfg_.n_members);
-      tasks.push_back(pool.submit(
-          [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
-    }
-
-    // Inline analysis on the caller thread: its internal parallel_for
-    // interleaves with the forecast tasks on the shared pool.
-    std::exception_ptr err;
-    if (staged) {
-      try {
-        assimilate_batches(*buf_post_, col.apply, k, cm);
-      } catch (...) {
-        err = std::current_exception();
-      }
-    }
-    for (auto& t : tasks) {
-      try {
-        t.get();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
+    // ...then forecast the next window beside it.
+    forecast_next_beside_analysis(k, staged ? &*buf_post_ : nullptr, col.apply, cm);
     have_increment_ = staged;
 
-    cm.forecast_ms = ms_since(t_fcst);
     cm.cycle_ms = ms_since(t_cycle);
     cm.pool_idle_frac = idle_probe.idle_frac();
     fill_ingest_delta(cm, ing0, stream_.ingest_counters());
@@ -732,37 +710,8 @@ void RealtimeRunner::run_overlapped(int start_cycle, std::vector<StreamCycleMetr
   }
 }
 
-void RealtimeRunner::complete_slot(StagedSlot& slot, std::vector<StreamCycleMetrics>& metrics) {
-  if (!slot.pending || slot.completed) return;
-  if (slot.task.valid()) slot.task.get();
-  slot.completed = true;
-  if (slot.error) {
-    std::exception_ptr e = slot.error;
-    slot.error = nullptr;
-    std::rethrow_exception(e);
-  }
-  slot.batches.clear();
-  if (slot.row >= metrics.size()) return;  // restored slot: row merged pre-save
-  StreamCycleMetrics& row = metrics[slot.row];
-  const StreamCycleMetrics& an = slot.an;
-  row.batches_assimilated += an.batches_assimilated;
-  row.batches_rejected += an.batches_rejected;
-  row.obs_rejected += an.obs_rejected;
-  row.late_applied += an.late_applied;
-  row.analysis_failures += an.analysis_failures;
-  row.solver_fallbacks += an.solver_fallbacks;
-  row.spread_recoveries += an.spread_recoveries;
-  row.max_batch_age = std::max(row.max_batch_age, an.max_batch_age);
-  row.max_r_scale = std::max(row.max_r_scale, an.max_r_scale);
-  row.degraded = row.degraded || an.degraded;
-  row.analysis_ms += an.analysis_ms;
-  row.qc_ms += an.qc_ms;
-  record_cycle_telemetry(row);
-}
-
 void RealtimeRunner::run_overlapped_deep(int start_cycle,
                                          std::vector<StreamCycleMetrics>& metrics) {
-  auto& pool = parallel::global_pool();
   const int K = cfg_.overlap_depth;
   if (ring_.size() != static_cast<std::size_t>(K))
     ring_.resize(static_cast<std::size_t>(K));
@@ -805,10 +754,7 @@ void RealtimeRunner::run_overlapped_deep(int start_cycle,
     // this cycle is about to reuse.
     {
       StagedSlot& due = ring_[static_cast<std::size_t>(k % K)];
-      if (due.pending && due.cycle == k - K) {
-        complete_slot(due, metrics);
-        apply_slot(due);
-      }
+      if (due.pending && due.cycle == k - K) apply_slot(due);
     }
 
     CollectResult col;
@@ -828,10 +774,7 @@ void RealtimeRunner::run_overlapped_deep(int start_cycle,
       // the final ensemble reflects every admitted batch.
       for (int c = std::max(k - K + 1, 0); c < k; ++c) {
         StagedSlot& s = ring_[static_cast<std::size_t>(c % K)];
-        if (s.pending && s.cycle == c) {
-          complete_slot(s, metrics);
-          apply_slot(s);
-        }
+        if (s.pending && s.cycle == c) apply_slot(s);
       }
       assimilate_batches(*ens_, col.apply, k, cm);
       cm.rmse_post = rmse_vs_truth(*ens_, truth);
@@ -857,27 +800,12 @@ void RealtimeRunner::run_overlapped_deep(int start_cycle,
       hook_(k, mean);
     }
 
-    // Analysis barrier: the shared filter and the duplicate ledger are not
-    // reentrant, so the previous cycle's staged task must retire before a
-    // new one is submitted. The ring still pays off — the *application* of
-    // each increment (and therefore straggler admission) is deferred K
-    // cycles, not one.
-    if (k > 0) {
-      StagedSlot& prev = ring_[static_cast<std::size_t>((k - 1) % K)];
-      if (prev.pending && prev.cycle == k - 1) complete_slot(prev, metrics);
-    }
-
     StagedSlot& slot = ring_[static_cast<std::size_t>(k % K)];
     const bool staged = !col.apply.empty();
     if (staged) {
       TURBDA_REQUIRE(!slot.pending, "deep-overlap ring slot still occupied");
       slot.cycle = k;
       slot.pending = true;
-      slot.completed = false;
-      slot.error = nullptr;
-      slot.row = static_cast<std::size_t>(-1);  // bound at push below
-      slot.an = StreamCycleMetrics{};
-      slot.an.cycle = k;
       if (slot.prior.has_value()) {
         slot.prior->data() = ens_->data();
         slot.post->data() = ens_->data();
@@ -885,67 +813,18 @@ void RealtimeRunner::run_overlapped_deep(int start_cycle,
         slot.prior.emplace(*ens_);
         slot.post.emplace(*ens_);
       }
-      slot.batches = std::move(col.apply);
     }
 
-    // Fan the next window out over the pool: producer + member forecasts for
-    // k+1 run concurrently with the staged analysis below. Per-member work
-    // is partition-independent, so this stays bitwise identical for any
-    // pool size.
-    const int k1 = k + 1;
-    const std::vector<double> shared_err = draw_shared_error(k1);
+    // The analysis finishes inside this cycle, beside the next window's
+    // forecast; only its increment's application waits K cycles.
+    forecast_next_beside_analysis(k, staged ? &*slot.post : nullptr, col.apply, cm);
 
-    const auto t_fcst = Clock::now();
-    std::vector<std::future<void>> tasks;
-    tasks.push_back(pool.submit([this, k1] {
-      TURBDA_SPAN("stream.produce");
-      stream_.produce(k1);
-    }));
-    std::size_t par = std::max<std::size_t>(pool.size(), 1);
-    if (cfg_.n_forecast_threads != 0) par = std::min(par, cfg_.n_forecast_threads);
-    if (!forecast_model_.concurrent_safe()) par = 1;
-    par = std::min(par, cfg_.n_members);
-    const std::size_t chunk = (cfg_.n_members + par - 1) / par;
-    for (std::size_t b = 0; b < cfg_.n_members; b += chunk) {
-      const std::size_t e = std::min(b + chunk, cfg_.n_members);
-      tasks.push_back(pool.submit(
-          [this, k1, b, e, &shared_err] { forecast_block(k1, b, e, shared_err); }));
-    }
-    if (staged) {
-      // The analysis failure mode is captured, not thrown: the task outlives
-      // this cycle body, so complete_slot() rethrows at the join.
-      slot.task = pool.submit([this, &slot, k] {
-        TURBDA_SPAN("runner.staged_analysis");
-        try {
-          assimilate_batches(*slot.post, slot.batches, k, slot.an);
-        } catch (...) {
-          slot.error = std::current_exception();
-        }
-      });
-    }
-
-    // Join only the forecast fan-out; the staged analysis keeps running
-    // into the next window (that deferral is the point of the ring).
-    std::exception_ptr err;
-    for (auto& t : tasks) {
-      try {
-        t.get();
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-
-    cm.forecast_ms = ms_since(t_fcst);
     cm.cycle_ms = ms_since(t_cycle);
     cm.pool_idle_frac = idle_probe.idle_frac();
     fill_ingest_delta(cm, ing0, stream_.ingest_counters());
     metrics.push_back(cm);
-    if (staged) slot.row = metrics.size() - 1;
     maybe_checkpoint(k, metrics);
-    // A staged cycle's telemetry is recorded at complete_slot(), once the
-    // analysis-side record has been merged into its row.
-    if (!staged) record_cycle_telemetry(metrics.back());
+    record_cycle_telemetry(metrics.back());
   }
 }
 

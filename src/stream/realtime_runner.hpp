@@ -22,11 +22,12 @@
 //    cycle k+K, so the admission window for stragglers stretches by K-1
 //    cycles — a batch that would be dropped under K=1 is instead applied as
 //    a K-window-late increment with forced age-dependent R inflation
-//    (counted as late_applied). Analyses themselves stay serialized (the
-//    shared filter is not reentrant); deeper overlap trades increment
-//    freshness for tolerance of extreme delivery latency. All admission
-//    decisions stay in virtual time, so any K is bitwise reproducible
-//    across thread counts.
+//    (counted as late_applied). As under K = 1, each analysis runs on the
+//    runner thread beside the next window's forecast and finishes within its
+//    own cycle (the shared filter is not reentrant); only its application is
+//    deferred. Deeper overlap trades increment freshness for tolerance of
+//    extreme delivery latency. All admission decisions stay in virtual
+//    time, so any K is bitwise reproducible across thread counts.
 //
 // Deadline semantics: the batch observing window k is "on time" if its
 // virtual arrival stamp is <= (k + 1) + deadline_slack_cycles; an on-time
@@ -41,9 +42,7 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <future>
 #include <optional>
 #include <span>
 #include <string>
@@ -246,6 +245,12 @@ class RealtimeRunner {
   /// its wall time on metrics.back().checkpoint_ms when a write happens.
   void maybe_checkpoint(int completed_cycle, std::vector<StreamCycleMetrics>& metrics);
 
+  /// Overlapped cycle body shared by every depth: fans window k+1's
+  /// producer and member forecasts out over the pool while this thread runs
+  /// cycle k's analysis on `target` (none when nullptr), then joins them
+  /// all; records that wall time on cm.forecast_ms.
+  void forecast_next_beside_analysis(int k, da::Ensemble* target,
+                                     std::vector<ObsBatch>& batches, StreamCycleMetrics& cm);
   void run_serial(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
   void run_overlapped(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
 
@@ -253,21 +258,9 @@ class RealtimeRunner {
   /// own prior/post buffer pair and applied overlap_depth cycles later.
   struct StagedSlot {
     int cycle = -1;
-    bool pending = false;    ///< staged; increment not yet applied
-    bool completed = false;  ///< analysis task joined, metrics merged
-    /// Metrics row the analysis-side record merges into (SIZE_MAX for slots
-    /// restored from a checkpoint — their rows were merged before the save).
-    std::size_t row = static_cast<std::size_t>(-1);
+    bool pending = false;  ///< staged; increment not yet applied
     std::optional<da::Ensemble> prior, post;
-    std::vector<ObsBatch> batches;
-    StreamCycleMetrics an;  ///< metrics the analysis task accumulates
-    std::future<void> task;
-    std::exception_ptr error;
   };
-  /// Joins the slot's analysis task, rethrows its failure, merges the
-  /// analysis-side metrics into the owning row and records that row's
-  /// telemetry. Idempotent once completed.
-  void complete_slot(StagedSlot& slot, std::vector<StreamCycleMetrics>& metrics);
   void run_overlapped_deep(int start_cycle, std::vector<StreamCycleMetrics>& metrics);
 
   RealtimeConfig cfg_;
@@ -287,6 +280,9 @@ class RealtimeRunner {
   /// Deep-overlap staged-analysis ring, overlap_depth slots (K > 1 only);
   /// slot index for the analysis staged at cycle c is c % overlap_depth.
   std::vector<StagedSlot> ring_;
+  /// Snapshot file image, reused across writes so steady-state checkpoints
+  /// do not reallocate it.
+  std::vector<std::uint8_t> checkpoint_buf_;
   Status checkpoint_status_;
 };
 

@@ -1,18 +1,25 @@
 // Checkpoint/restart tests: the snapshot format (CRC, version, refusal of
-// corrupt files), Rng state round-trips, and the hard invariant that a
+// corrupt files), the bulk codec against its byte-wise oracles, the atomic
+// replace of the previous snapshot, Rng state round-trips, and the hard
+// invariant that a
 // resumed cycling run continues *bitwise identically* to the uninterrupted
 // one — for both schedules, across thread counts, and under fault injection
 // with QC active.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "checkpoint_oracle.hpp"
+#include "common/bytes.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
@@ -57,9 +64,10 @@ struct CkptRun {
 
 /// One full stack (models + stream [+ faults] + filter + runner). `resume`
 /// empty runs from scratch; otherwise the run continues from that snapshot.
+/// `hook`, when set, runs after each cycle's update (before its snapshot).
 CkptRun run_stack(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
                   const stream::FaultConfig* fc, FilterKind kind, bool model_error = false,
-                  const std::string& resume = {}) {
+                  const std::string& resume = {}, const stream::CycleHook& hook = {}) {
   Lorenz96Config mc;
   mc.dim = kDim;
   mc.steps_per_window = 10;
@@ -78,6 +86,7 @@ CkptRun run_stack(stream::SyntheticStreamConfig sc, stream::RealtimeConfig rc,
   auto filter = make_filter(kind);
   rc.inject_model_error = model_error;
   stream::RealtimeRunner runner(rc, *s, fcst_model, filter.get(), model_error ? &me : nullptr);
+  if (hook) runner.set_post_analysis_hook(hook);
   CkptRun out;
   if (resume.empty()) {
     out.metrics = runner.run(truth0);
@@ -133,6 +142,57 @@ TEST(Checkpoint, Crc32MatchesKnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(stream::crc32({reinterpret_cast<const std::uint8_t*>(s), 9}), 0xCBF43926u);
   EXPECT_EQ(stream::crc32({}), 0x00000000u);
+}
+
+TEST(Checkpoint, Crc32MatchesBytewiseOracle) {
+  rng::Rng r(7);
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);  // 1 MiB
+  for (auto& b : buf) b = static_cast<std::uint8_t>(r.uniform_int(256));
+  // Every head/tail split of the 8-byte slices, at every alignment.
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + off, len);
+      EXPECT_EQ(stream::crc32(s), oracle::crc32_bytewise(s)) << "offset " << off << " length "
+                                                             << len;
+    }
+  EXPECT_EQ(stream::crc32(buf), oracle::crc32_bytewise(buf));
+}
+
+TEST(Checkpoint, BulkF64CodecMatchesBytewiseOracle) {
+  using lim = std::numeric_limits<double>;
+  const std::vector<double> v = {0.0, -0.0, 1.0, -2.5, lim::denorm_min(), lim::infinity(),
+                                 -lim::infinity(), lim::quiet_NaN(),
+                                 std::bit_cast<double>(std::uint64_t{0x7FF0000000000001}),
+                                 lim::max(), lim::lowest(), 3.141592653589793};
+  std::vector<std::uint8_t> bulk, ref;
+  bytes::put_f64_span(bulk, v);
+  oracle::put_f64_span(ref, v);
+  EXPECT_EQ(bulk, ref);
+
+  bytes::Reader rd(bulk);
+  std::vector<double> back;
+  ASSERT_TRUE(rd.f64_vec(back));
+  EXPECT_TRUE(rd.done());
+  ASSERT_EQ(back.size(), v.size());
+  EXPECT_EQ(0, std::memcmp(back.data(), v.data(), v.size() * sizeof(double)));
+
+  // Empty arrays round-trip too.
+  bulk.clear();
+  bytes::put_f64_span(bulk, std::span<const double>{});
+  bytes::Reader empty(bulk);
+  back.assign(3, 1.0);
+  ASSERT_TRUE(empty.f64_vec(back));
+  EXPECT_TRUE(back.empty());
+  EXPECT_TRUE(empty.done());
+
+  // A length prefix whose byte count wraps 64 bits (2^61 doubles = 2^64
+  // bytes) is refused instead of allocated.
+  std::vector<std::uint8_t> lie;
+  oracle::put_u64(lie, std::uint64_t{1} << 61);
+  lie.resize(lie.size() + 16);
+  bytes::Reader lr(lie);
+  EXPECT_FALSE(lr.f64_vec(back));
+  EXPECT_FALSE(lr.ok());
 }
 
 TEST(Checkpoint, RngStateRoundTripsMidSequence) {
@@ -250,6 +310,77 @@ TEST(Checkpoint, OverlappedFaultyResumeAcrossThreadCounts) {
   ASSERT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
   expect_bitwise_equal(uninterrupted.ens, resumed.ens);
   expect_deterministic_metrics_equal(uninterrupted.metrics, resumed.metrics);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, DeepOverlapFileMatchesV3Oracle) {
+  // The staged ring is the part of the file the deep-overlap schedule owns:
+  // the bytes the runner writes must be exactly the v3 image of what they
+  // decode to, so the bulk codec changed no byte of the format.
+  stream::SyntheticStreamConfig sc;
+  stream::RealtimeConfig rc;
+  rc.cycles = 9;
+  rc.n_members = 8;
+  rc.schedule = stream::Schedule::Overlapped;
+  rc.overlap_depth = 2;
+  const std::string path = temp_path("ckpt_deep_oracle.bin");
+  rc.checkpoint_path = path;
+  rc.checkpoint_every = 4;  // last snapshot after cycle 7, two slots staged
+  const auto r = run_stack(sc, rc, nullptr, FilterKind::Etkf);
+  ASSERT_TRUE(r.ckpt_status.ok()) << r.ckpt_status.to_string();
+
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> file{std::istreambuf_iterator<char>(in),
+                                       std::istreambuf_iterator<char>()};
+  stream::CheckpointData data;
+  ASSERT_TRUE(stream::load_checkpoint(path, data).ok());
+  EXPECT_EQ(data.next_cycle, 8);
+  EXPECT_EQ(data.ring.size(), 2u);
+  EXPECT_TRUE(oracle::encode_checkpoint_v3(data) == file) << "file is not the v3 oracle image";
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FailedWriteLeavesPreviousSnapshotResumable) {
+  stream::SyntheticStreamConfig sc;
+  stream::RealtimeConfig rc;
+  rc.cycles = 8;
+  rc.n_members = 8;
+  rc.schedule = stream::Schedule::Overlapped;
+  rc.overlap_depth = 2;
+  const auto uninterrupted = run_stack(sc, rc, nullptr, FilterKind::Etkf);
+
+  const std::string path = temp_path("ckpt_atomic.bin");
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  std::remove(path.c_str());
+  auto rc_ck = rc;
+  rc_ck.checkpoint_path = path;
+  rc_ck.checkpoint_every = 1;
+  // Cycle 1's hook runs after the snapshot of cycle 0 was written and before
+  // cycle 1's: a directory in the temp file's place fails that write and
+  // every later one.
+  const auto blocked = run_stack(sc, rc_ck, nullptr, FilterKind::Etkf, false, {},
+                                 [&](int k, std::span<const double>) {
+                                   if (k == 1) std::filesystem::create_directory(tmp);
+                                 });
+  EXPECT_EQ(blocked.ckpt_status.code(), StatusCode::kIoError) << blocked.ckpt_status.to_string();
+  expect_bitwise_equal(uninterrupted.ens, blocked.ens);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));
+
+  // The earlier snapshot is intact, and resuming from it is bitwise.
+  stream::CheckpointData data;
+  ASSERT_TRUE(stream::load_checkpoint(path, data).ok());
+  EXPECT_EQ(data.next_cycle, 1);
+  std::filesystem::remove(tmp);
+  const auto resumed = run_stack(sc, rc_ck, nullptr, FilterKind::Etkf, false, path);
+  ASSERT_TRUE(resumed.resume_status.ok()) << resumed.resume_status.to_string();
+  expect_bitwise_equal(uninterrupted.ens, resumed.ens);
+  expect_deterministic_metrics_equal(uninterrupted.metrics, resumed.metrics);
+
+  // The resumed run snapshots every cycle without failure and leaves no
+  // temp file behind.
+  EXPECT_TRUE(resumed.ckpt_status.ok()) << resumed.ckpt_status.to_string();
+  EXPECT_FALSE(std::filesystem::exists(tmp));
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,8 @@
 // analysis RMSE below the free run.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -13,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -505,24 +508,61 @@ TEST(FaultTolerantCycling, AnalysisFailureDegradesInsteadOfAborting) {
   for (const auto& m : r.metrics) EXPECT_TRUE(std::isfinite(m.rmse_post));
 }
 
-TEST(FaultTolerantCycling, FailFastModeStillAborts) {
-  stream::SyntheticStreamConfig sc;
-  stream::RealtimeConfig rc;
-  rc.cycles = 10;
-  rc.n_members = 10;
-  rc.degrade_on_failure = false;
+/// Lorenz-96 whose forecast blocks count themselves while they run and take
+/// long enough that a block still running when run() returns is seen.
+class InFlightLorenz96 final : public models::ForecastModel {
+ public:
+  explicit InFlightLorenz96(const Lorenz96Config& mc) : inner_(mc) {}
+  [[nodiscard]] std::size_t dim() const override { return inner_.dim(); }
+  void forecast(std::span<double> state) override { inner_.forecast(state); }
+  void forecast_batch(std::span<double> states, std::size_t count) override {
+    in_flight.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    inner_.forecast_batch(states, count);
+    in_flight.fetch_sub(1);
+  }
+  [[nodiscard]] bool concurrent_safe() const override { return inner_.concurrent_safe(); }
+  [[nodiscard]] std::string name() const override { return "InFlightLorenz96"; }
 
-  Lorenz96Config mc;
-  mc.dim = kDim;
-  mc.steps_per_window = 10;
-  Lorenz96 truth_model(mc), fcst_model(mc);
-  da::IdentityObs h(kDim, kNx, kNy, kLev);
-  da::DiagonalR r(kDim, 1.0);
-  const auto truth0 = spun_up_truth();
-  stream::SyntheticStream s(sc, truth_model, h, r, truth0);
-  FlakyFilter filter(3);
-  stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
-  EXPECT_THROW((void)runner.run(truth0), Error);
+  std::atomic<int> in_flight{0};
+
+ private:
+  Lorenz96 inner_;
+};
+
+TEST(FaultTolerantCycling, FailFastModeStillAborts) {
+  // Under every schedule a failed analysis throws out of run(), and the
+  // overlapped ones join the next window's forecast tasks before it does.
+  struct Case {
+    stream::Schedule schedule;
+    int depth;
+  };
+  for (const Case c : {Case{stream::Schedule::Serial, 1}, Case{stream::Schedule::Overlapped, 1},
+                       Case{stream::Schedule::Overlapped, 2}}) {
+    SCOPED_TRACE("overlap depth " + std::to_string(c.depth) +
+                 (c.schedule == stream::Schedule::Serial ? " (serial)" : " (overlapped)"));
+    stream::SyntheticStreamConfig sc;
+    stream::RealtimeConfig rc;
+    rc.cycles = 10;
+    rc.n_members = 10;
+    rc.degrade_on_failure = false;
+    rc.schedule = c.schedule;
+    rc.overlap_depth = c.depth;
+
+    Lorenz96Config mc;
+    mc.dim = kDim;
+    mc.steps_per_window = 10;
+    Lorenz96 truth_model(mc);
+    InFlightLorenz96 fcst_model(mc);
+    da::IdentityObs h(kDim, kNx, kNy, kLev);
+    da::DiagonalR r(kDim, 1.0);
+    const auto truth0 = spun_up_truth();
+    stream::SyntheticStream s(sc, truth_model, h, r, truth0);
+    FlakyFilter filter(3);
+    stream::RealtimeRunner runner(rc, s, fcst_model, &filter);
+    EXPECT_THROW((void)runner.run(truth0), Error);
+    EXPECT_EQ(fcst_model.in_flight.load(), 0) << "forecast task still running after run() threw";
+  }
 }
 
 TEST(FaultTolerantCycling, SpreadWatchdogRecoversCollapseAndDivergence) {
